@@ -62,7 +62,6 @@ from .search_core import (
     SearchTrace,
     VirtualClock,
     WallClock,
-    anytime_search,
     extract_solution,
     heuristic,
 )

@@ -233,6 +233,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         cfg = AnytimeConfig(
             initial_inflation=float(pop("inflation", "2.0")),
             inflation_step=float(pop("step", "0.25")),
+            final_inflation=float(pop("final", "1.0")),
             time_budget=float(pop("budget", "1.0")),
             goal_tolerance=float(pop("tolerance", "0")),
         )
@@ -256,12 +257,18 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
+def _param_text(v: float) -> str:
+    """Builtin parameter text that parses back to exactly ``v``."""
+    v = float(v)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
 def dumps_scenario(sc: Scenario) -> str:
     out = [SCENARIO_MAGIC, f"name {sc.name}"]
     if sc.source.kind == "file":
         out.append(f"stack file {sc.source.path}")
     else:
-        params = ",".join(f"{k}={v:g}" for k, v in sc.source.params)
+        params = ",".join(f"{k}={_param_text(v)}" for k, v in sc.source.params)
         suffix = "{" + params + "}" if params else ""
         out.append(f"stack builtin {sc.source.kind}{suffix}")
     out.append(f"start {sc.start.x} {sc.start.y} {sc.start.heading}")
@@ -270,6 +277,7 @@ def dumps_scenario(sc: Scenario) -> str:
     out.append(f"budget {sc.cfg.time_budget!r}")
     out.append(f"inflation {sc.cfg.initial_inflation!r}")
     out.append(f"step {sc.cfg.inflation_step!r}")
+    out.append(f"final {sc.cfg.final_inflation!r}")
     out.append(f"tolerance {sc.cfg.goal_tolerance!r}")
     out.append(f"repetitions {sc.repetitions}")
     out.append(f"seed {sc.seed}")

@@ -10,6 +10,7 @@ parent chain and stitching the records together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import EdgeEvaluation, MotionPrimitive, Pose, Trajectory
 
@@ -21,9 +22,9 @@ class HistoryError(RuntimeError):
     """Raised when a per-hypothesis history cannot be stitched into a trajectory."""
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One history increment for one hypothesis."""
+class EdgeRecord(NamedTuple):
+    """One history increment for one hypothesis (a named tuple: one is made
+    per hypothesis per admitted edge)."""
 
     kind: str  # DIRECT or REROUTED
     cost: float

@@ -4,12 +4,22 @@ Edges are short precomputed motions between grid poses.  Each primitive carries
 the ordered list of cells swept while executing it (supercover rasterization,
 origin cell excluded, endpoint included), so validity and traversal cost against
 a cost map reduce to a scan over those cells.
+
+Edge costs read the soft-cost factor ``1 + value / 255`` of each cell value
+from one 256-entry module table, ``SOFT_FACTOR``, instead of dividing per
+cell; the table holds the same floats the division gives, so every cost is
+bit-identical to the formula.  Nothing is cached per cost map.
+
+``Pose`` and ``EdgeEvaluation`` are named tuples: they hash, order and print
+like the equivalent frozen records, and are cheap to create on the search's
+hot path.  As tuples they also compare equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .costmap import CostMap, HypothesisStack
 
@@ -25,13 +35,15 @@ PRIM_MAGIC = "MHPRIM 1"
 CARDINAL_ARC = 1.0
 DIAGONAL_ARC = 1.5
 
+# Soft-cost factor of each cell value, indexed by the value.
+SOFT_FACTOR = tuple(1.0 + v / 255.0 for v in range(256))
+
 
 class LibraryFormatError(ValueError):
     """Raised for malformed primitive library files."""
 
 
-@dataclass(frozen=True, order=True)
-class Pose:
+class Pose(NamedTuple):
     x: int
     y: int
     heading: int
@@ -172,8 +184,7 @@ def successors(pose: Pose, lib: PrimitiveLibrary, width: int, height: int
     return out
 
 
-@dataclass(frozen=True)
-class EdgeEvaluation:
+class EdgeEvaluation(NamedTuple):
     """Per-hypothesis validity and traversal cost of one edge.
 
     ``cost[h]`` is None when the edge is invalid in hypothesis ``h``; otherwise
@@ -199,19 +210,21 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
     nominal = prim.arc_length / lib.nominal_speed
     width = stack.width
     k = len(prim.swept)
+    base = pose.y * width + pose.x
+    swept = [base + oy * width + ox for ox, oy in prim.swept]
     valid: list[bool] = []
     cost: list[float | None] = []
+    factor = SOFT_FACTOR
     for cmap in stack.maps:
         cells = cmap.cells
         mask = cmap.lethal_mask
         total = 0.0
         ok = True
-        for ox, oy in prim.swept:
-            idx = (pose.y + oy) * width + (pose.x + ox)
+        for idx in swept:
             if mask[idx]:
                 ok = False
                 break
-            total += 1.0 + cells[idx] / 255.0
+            total += factor[cells[idx]]
         valid.append(ok)
         cost.append(nominal * (total / k) if ok else None)
     return EdgeEvaluation(tuple(valid), tuple(cost))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 from . import histories
 from .costmap import HypothesisStack
@@ -74,11 +75,10 @@ def _veh_policy(engine, node, prim, ev, dst):
     """Require validity in every hypothesis; average the per-hypothesis tallies."""
     if not ev.valid_in_all:
         return None
-    hyp_g = tuple(pg + c for pg, c in zip(node.hyp_g, ev.cost))
+    hyp_g = tuple(map(operator.add, node.hyp_g, ev.cost))
     g = histories.average_edge_cost(hyp_g)
-    edges = tuple(
-        EdgeRecord(DIRECT, c, node.pose, dst, prim_id=prim.id) for c in ev.cost
-    )
+    src, prim_id = node.pose, prim.id
+    edges = tuple([EdgeRecord(DIRECT, c, src, dst, prim_id) for c in ev.cost])
     return (g, hyp_g, node.pending, edges)
 
 
@@ -264,7 +264,12 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
 
 
 class Rerouter:
-    """Memoized single-hypothesis detour searches sharing the caller's clock."""
+    """Memoized single-hypothesis detour searches sharing the caller's clock.
+
+    All nested searches of one hypothesis share one edge table (see
+    :class:`~mhplan.search_core.SearchProblem`), kept for the life of the
+    rerouter, that is, of one plan call.
+    """
 
     def __init__(self, stack: HypothesisStack, lib: PrimitiveLibrary,
                  fraction: float = DEFAULT_REROUTE_FRACTION,
@@ -277,7 +282,7 @@ class Rerouter:
         self.trace = trace
         self.memo: dict[tuple[Pose, tuple[int, int], int], Trajectory | None] = {}
         self.invocations = 0
-        self._ecaches: dict[int, dict] = {}
+        self._tables: dict[int, dict] = {}
 
     def reroute(self, engine: AnytimeSearch, anchor: Pose, target_cell: tuple[int, int],
                 h: int) -> Trajectory | None:
@@ -295,7 +300,7 @@ class Rerouter:
                 result = reroute(
                     anchor, target_cell, h, self.stack,
                     budget=budget, lib=self.lib, clock=engine.clock,
-                    _ecache=self._ecaches.setdefault(h, {}),
+                    _table=self._tables.setdefault(h, {}),
                 )
                 if self.trace is not None:
                     self.trace.reroutes.append(
@@ -308,7 +313,7 @@ class Rerouter:
 
 def reroute(from_pose: Pose, to_pose, hypothesis_index: int, stack: HypothesisStack,
             budget: float = math.inf, *, lib: PrimitiveLibrary | None = None,
-            clock=None, _ecache: dict | None = None) -> Trajectory | None:
+            clock=None, _table: dict | None = None) -> Trajectory | None:
     """Collision-free detour within one hypothesis, or None when unreachable.
 
     Runs an uninflated search on ``stack.maps[hypothesis_index]`` from
@@ -322,7 +327,7 @@ def reroute(from_pose: Pose, to_pose, hypothesis_index: int, stack: HypothesisSt
         initial_inflation=1.0, inflation_step=1.0, final_inflation=1.0,
         time_budget=budget, goal_tolerance=0.0,
     )
-    problem = SearchProblem(view, lib, from_pose, Pose(tx, ty, 0), ecache=_ecache)
+    problem = SearchProblem(view, lib, from_pose, Pose(tx, ty, 0), table=_table)
     result = AnytimeSearch(problem, cfg, _single_policy, None, clock, None).run()
     return result.trajectory
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import histories
 from .costmap import HypothesisStack
 from .lattice import (
+    EdgeEvaluation,
     MotionPrimitive,
     Pose,
     PrimitiveLibrary,
@@ -209,10 +210,20 @@ class ClosedSet:
 
 
 class SearchProblem:
-    """A stack, a primitive library, and one start/goal query, with edge caching."""
+    """A stack, a primitive library, and one start/goal query, with an edge table.
+
+    The edge table maps each expanded pose to the tuple of its outgoing edges
+    ``(prim, dst, EdgeEvaluation)`` in ascending primitive id, keeping only
+    edges that stay on the map and are valid in at least one hypothesis.  It
+    is filled lazily, one pose at a time, through :func:`successors` and
+    :meth:`evaluate`, so the edge-cost formula stays in
+    :func:`~mhplan.lattice.evaluate_edge`.  The table holds nothing that
+    depends on the start or goal, so problems over the same stack may share
+    one by passing ``table``; it lives as long as its problems do.
+    """
 
     def __init__(self, stack: HypothesisStack, lib: PrimitiveLibrary, start: Pose, goal: Pose,
-                 ecache: dict | None = None):
+                 table: dict | None = None):
         if lib.resolution is not None and lib.resolution != stack.resolution:
             raise PlanningInputError(
                 f"library resolution {lib.resolution} does not match map resolution "
@@ -222,16 +233,24 @@ class SearchProblem:
         self.lib = lib
         self.start = start
         self.goal = goal
-        # The edge cache may be shared between problems over the same stack.
-        self._ecache: dict[tuple[int, int, int], object] = {} if ecache is None else ecache
+        self.table: dict[Pose, tuple] = {} if table is None else table
 
-    def evaluate(self, pose: Pose, prim: MotionPrimitive):
-        key = (pose.x, pose.y, prim.id)
-        ev = self._ecache.get(key)
-        if ev is None:
-            ev = evaluate_edge(pose, prim, self.stack, self.lib)
-            self._ecache[key] = ev
-        return ev
+    def evaluate(self, pose: Pose, prim: MotionPrimitive) -> EdgeEvaluation:
+        """One edge against every hypothesis of the stack (not cached)."""
+        return evaluate_edge(pose, prim, self.stack, self.lib)
+
+    def edges(self, pose: Pose) -> tuple[tuple[MotionPrimitive, Pose, EdgeEvaluation], ...]:
+        """Outgoing edges of ``pose`` valid in some hypothesis, from the table."""
+        row = self.table.get(pose)
+        if row is None:
+            stack = self.stack
+            found = []
+            for prim, dst in successors(pose, self.lib, stack.width, stack.height):
+                ev = self.evaluate(pose, prim)
+                if ev.valid_in_any:
+                    found.append((prim, dst, ev))
+            row = self.table[pose] = tuple(found)
+        return row
 
 
 @dataclass
@@ -265,7 +284,6 @@ class SearchTrace:
     """Optional instrumentation collected during a search."""
 
     expansions: list = field(default_factory=list)   # (nid, pose, g)
-    created: list = field(default_factory=list)      # (nid, pose, g, parent_nid, prim_id)
     rounds: list = field(default_factory=list)       # (inflation, accepted cost)
     reroutes: list = field(default_factory=list)     # (anchor pose, target cell, hyp, ok, duration)
     goal_updates: list = field(default_factory=list) # (nid, terms, new goal-edge cost)
@@ -394,9 +412,6 @@ class AnytimeSearch:
         self._next_nid += 1
         if self.trace is not None:
             self.trace.nodes[node.nid] = node
-            self.trace.created.append(
-                (node.nid, pose, g, parent.nid if parent else None, prim_id)
-            )
         return node
 
     def reinsert(self, node: SearchNode) -> None:
@@ -539,11 +554,7 @@ class AnytimeSearch:
         self.clock.on_expansion()
         if self.trace is not None:
             self.trace.expansions.append((node.nid, node.pose, node.g))
-        stack = self.problem.stack
-        for prim, dst in successors(node.pose, self.problem.lib, stack.width, stack.height):
-            ev = self.problem.evaluate(node.pose, prim)
-            if not ev.valid_in_any:
-                continue
+        for prim, dst, ev in self.problem.edges(node.pose):
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
@@ -557,14 +568,6 @@ class AnytimeSearch:
             child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges)
             self.frontier.record(child)
             self.open.push(child, child.f)
-
-
-def anytime_search(problem: SearchProblem, expand_policy, goal_hook=None,
-                   cfg: AnytimeConfig | None = None, clock=None,
-                   trace: SearchTrace | None = None) -> PlanResult:
-    """Run one anytime search; see :class:`AnytimeSearch`."""
-    return AnytimeSearch(problem, cfg or AnytimeConfig(), expand_policy,
-                         goal_hook, clock, trace).run()
 
 
 def extract_solution(node: SearchNode, hypothesis_index: int) -> Trajectory:

@@ -1,0 +1,44 @@
+"""Frozen result rows of every planner mode on seeded clutter stacks.
+
+Each row holds the status, virtual planning time, path duration, expansion
+and reroute counts and final inflation of one plan, so any change to a search
+decision (edge order, costs, tie-breaks, duplicate detection, reroute budget)
+moves at least one literal here.  A change meant to speed the planner up must
+leave every row as it is; a change meant to alter a decision updates the rows
+and says in CHANGES.md which ones moved and why.
+"""
+
+import pytest
+
+from mhplan.harness import builtin_scenario, run_scenario
+
+# Default AnytimeConfig (1 s virtual budget, inflation 2.0 -> 1.0), VirtualClock.
+GOLDEN = {
+    "clutter{size=24,n=3,seed=3,density=0.15}": [
+        ["SH", "3", "0", "solved", "0.0010000000000000002", "19.5", "20", "0", "1.0", "3"],
+        ["VEH", "3", "0", "solved", "0.005449999999999995", "20.5", "109", "0", "1.0", "3"],
+        ["PEH", "3", "0", "solved", "0.01724999999999998", "19.5", "47", "99", "1.0", "3"],
+        ["GEH", "3", "0", "solved", "0.018850000000000026", "20.5", "375", "2", "1.0", "3"],
+        ["GEGRH", "3", "0", "solved", "0.009699999999999969", "19.5", "191", "3", "1.0", "3"],
+    ],
+    "clutter{size=24,n=3,seed=2,density=0.15}": [
+        ["SH", "3", "0", "solved", "0.013449999999999946", "21.5", "269", "0", "1.0", "2"],
+        ["VEH", "3", "0", "solved", "0.018000000000000002", "23.5", "360", "0", "1.0", "2"],
+        ["PEH", "3", "0", "solved", "0.08839999999999842", "21.5", "412", "332", "1.0", "2"],
+        ["GEH", "3", "0", "no-plan", "0.19234999999998698", "", "3845", "2", "2.0", "2"],
+        ["GEGRH", "3", "0", "no-plan", "0.19234999999998698", "", "3845", "2", "2.0", "2"],
+    ],
+    "clutter{size=32,n=3,seed=12,density=0.15}": [
+        ["SH", "3", "0", "solved", "0.0013999999999999996", "27.5", "28", "0", "1.0", "12"],
+        ["VEH", "3", "0", "solved", "0.0071499999999999845", "28.5", "143", "0", "1.0", "12"],
+        ["PEH", "3", "0", "solved", "0.013449999999999946", "27.5", "28", "43", "1.0", "12"],
+        ["GEH", "3", "0", "solved", "0.01279999999999995", "27.5", "255", "1", "1.0", "12"],
+        ["GEGRH", "3", "0", "solved", "0.016599999999999962", "27.5", "270", "6", "1.0", "12"],
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN))
+def test_result_rows_are_frozen(spec):
+    rows = [rec.row() for rec in run_scenario(builtin_scenario(spec))]
+    assert rows == [[spec] + row for row in GOLDEN[spec]]

@@ -79,11 +79,17 @@ def test_scenario_file_round_trip(tmp_path):
                           cfg=AnytimeConfig(time_budget=math.inf,
                                             initial_inflation=1.5,
                                             inflation_step=0.5,
+                                            final_inflation=1.25,
                                             goal_tolerance=1.0),
                           repetitions=3, seed=4)
     path = os.path.join(tmp_path, "case.mhscen")
     save_scenario(sc, path)
     assert load_scenario(path) == sc
+    # Parameters that a short float format would round come back exactly.
+    precise = builtin_scenario("clutter{seed=12345678,density=0.123456789}")
+    text = dumps_scenario(precise)
+    assert "stack builtin clutter{density=0.123456789,seed=12345678}" in text
+    assert parse_scenario(text) == precise
 
 
 def test_scenario_file_with_stack_file(tmp_path):

@@ -37,6 +37,16 @@ def chain_of(cells, pendings):
     return nodes
 
 
+def test_edge_record_value_semantics():
+    rec = direct(Pose(1, 2, 3), Pose(2, 2, 3), cost=1.0, prim_id=4)
+    assert repr(rec) == ("EdgeRecord(kind='direct', cost=1.0, src=Pose(x=1, y=2, heading=3), "
+                         "dst=Pose(x=2, y=2, heading=3), prim_id=4, detour=None)")
+    assert hash(rec) == hash((DIRECT, 1.0, Pose(1, 2, 3), Pose(2, 2, 3), 4, None))
+    assert rec == direct(Pose(1, 2, 3), Pose(2, 2, 3), cost=1.0, prim_id=4)
+    with pytest.raises(AttributeError):
+        rec.cost = 2.0
+
+
 # -- averaging ---------------------------------------------------------------
 
 

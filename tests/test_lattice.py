@@ -6,7 +6,7 @@ import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack
 from mhplan.lattice import (CARDINAL_ARC, DIAGONAL_ARC, DIRS, N_HEADINGS,
-                            LibraryFormatError, MotionPrimitive, Pose,
+                            EdgeEvaluation, LibraryFormatError, MotionPrimitive, Pose,
                             Trajectory, default_library, euclid_cells,
                             evaluate_edge, load_library, save_library,
                             successors, supercover_offsets)
@@ -16,6 +16,28 @@ def rand_map(rng, w, h, density=0.2):
     cells = tuple(255 if rng.random() < density else rng.randrange(0, 200)
                   for _ in range(w * h))
     return CostMap(w, h, 1.0, cells)
+
+
+# -- value types -------------------------------------------------------------
+
+
+def test_pose_and_edge_evaluation_value_semantics():
+    p = Pose(1, 2, 3)
+    assert repr(p) == "Pose(x=1, y=2, heading=3)"
+    assert hash(p) == hash((1, 2, 3)) and p == Pose(1, 2, 3)
+    assert p.cell() == (1, 2)
+    assert sorted([Pose(1, 2, 4), Pose(1, 3, 0), p, Pose(0, 9, 9)]) == [
+        Pose(0, 9, 9), p, Pose(1, 2, 4), Pose(1, 3, 0)]
+    with pytest.raises(AttributeError):
+        p.x = 5
+    # As a named tuple a pose also equals the plain tuple of its fields.
+    assert p == (1, 2, 3)
+    ev = EdgeEvaluation((True, False), (1.5, None))
+    assert repr(ev) == "EdgeEvaluation(valid=(True, False), cost=(1.5, None))"
+    assert hash(ev) == hash(((True, False), (1.5, None)))
+    assert ev.valid_in_any and not ev.valid_in_all
+    with pytest.raises(AttributeError):
+        ev.valid = (True, True)
 
 
 # -- supercover --------------------------------------------------------------

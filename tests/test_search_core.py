@@ -4,13 +4,14 @@ import random
 import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack
-from mhplan.lattice import Pose, default_library
+from mhplan.lattice import (SOFT_FACTOR, Pose, default_library, evaluate_edge,
+                            successors)
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import plan_sh
 from mhplan.search_core import (AnytimeConfig, BestGTable, HistoryFrontier,
                                 OpenList, PlanningInputError, SearchNode,
-                                SearchTrace, VirtualClock, WallClock,
-                                heuristic)
+                                SearchProblem, SearchTrace, VirtualClock,
+                                WallClock, heuristic)
 
 LIB = default_library()
 
@@ -51,6 +52,44 @@ def test_heuristic_admissible_on_random_instances():
         if not ref.reachable:
             continue
         assert heuristic(start, goal) <= ref.optimal_cost + 1e-9
+
+
+# -- edge table --------------------------------------------------------------
+
+
+def test_edge_table_matches_successors_and_evaluate_edge():
+    # Three hypotheses, each with every soft value 0-253 and with cells at the
+    # lethal threshold (254), some shared and some not; every pose is checked,
+    # the border ones included.
+    w = h = 18
+    maps = []
+    for m in range(3):
+        cells, soft = [], 0
+        for i in range(w * h):
+            if i % 9 == m or i % 23 == 0:
+                cells.append(254)
+            else:
+                cells.append(soft % 254)
+                soft += 1
+        assert set(cells) == set(range(255))
+        maps.append(CostMap(w, h, 1.0, tuple(cells)))
+    stack = HypothesisStack(tuple(maps))
+    problem = SearchProblem(stack, LIB, Pose(0, 0, 0), Pose(w - 1, h - 1, 0))
+    on_map = kept = 0
+    for x in range(w):
+        for y in range(h):
+            for heading in range(8):
+                pose = Pose(x, y, heading)
+                expect = [(p, d, evaluate_edge(pose, p, stack, LIB))
+                          for p, d in successors(pose, LIB, w, h)]
+                on_map += len(expect)
+                expect = tuple(e for e in expect if e[2].valid_in_any)
+                row = problem.edges(pose)
+                assert row == expect
+                assert problem.edges(pose) is row
+                kept += len(row)
+    assert 0 < kept < on_map < w * h * 8 * 3
+    assert SOFT_FACTOR == tuple(1.0 + v / 255.0 for v in range(256))
 
 
 # -- configuration and clocks ------------------------------------------------

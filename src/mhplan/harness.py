@@ -131,6 +131,13 @@ _BUILTIN_POSES = {
 }
 
 
+def _default_poses(kind: str, params: dict[str, float]) -> tuple[Pose, Pose]:
+    """Start and goal of a builtin stack when the scenario names none."""
+    if kind == "clutter":
+        return clutter_endpoints(int(params.get("size", 24)))
+    return _BUILTIN_POSES[kind]
+
+
 def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
     """Split ``clutter{n=3,seed=7}`` style builtin specs into name + params."""
     name, brace, rest = spec.partition("{")
@@ -157,10 +164,7 @@ def builtin_scenario(spec: str, modes=MODES, cfg: AnytimeConfig | None = None,
     name, params = parse_builtin(spec)
     if name == "clutter" and seed is not None:
         params["seed"] = seed
-    if name == "clutter":
-        start, goal = clutter_endpoints(int(params.get("size", 24)))
-    else:
-        start, goal = _BUILTIN_POSES[name]
+    start, goal = _default_poses(name, params)
     source = StackSource(name, params=tuple(sorted(params.items())))
     return Scenario(spec, source, start, goal, tuple(PlannerMode(m) for m in modes),
                     cfg or AnytimeConfig(), repetitions,
@@ -203,10 +207,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     elif stack_spec[0] == "builtin" and len(stack_spec) == 2:
         kind, params = parse_builtin(stack_spec[1])
         source = StackSource(kind, params=tuple(sorted(params.items())))
-        if kind == "clutter":
-            default_poses = clutter_endpoints(int(params.get("size", 24)))
-        else:
-            default_poses = _BUILTIN_POSES[kind]
+        default_poses = _default_poses(kind, params)
     else:
         raise ScenarioError(f"bad stack line {' '.join(stack_spec)!r}")
 

@@ -40,30 +40,22 @@ class DivergenceInfo:
 
     ``anchors[h]`` is the deepest node on the chain whose history for
     hypothesis ``h`` is still an exact pose-for-pose prefix of the primary
-    history (None when the hypothesis never diverged).  ``global_first`` is the
-    minimum-depth anchor over all diverged hypotheses, and ``first_break`` is
-    its successor on the chain: the earliest node whose history no longer
-    matches in some hypothesis.  ``first_break.parent is global_first`` always
-    holds, and ``first_break`` is never the root.
+    history (None when the hypothesis never diverged).  ``first_break`` is
+    the earliest node on the chain whose history no longer matches in some
+    hypothesis (None when none diverged); it is never the root, and its
+    parent is the shallowest anchor.
     """
 
-    diverged: tuple[bool, ...]
     anchors: tuple[object | None, ...]
-    global_first: object | None
     first_break: object | None
 
 
-def average_edge_cost(costs, weights=None) -> float:
-    """Mean cost over hypotheses; ``weights`` is the hook for non-uniform blends."""
+def average_edge_cost(costs) -> float:
+    """Mean cost over hypotheses."""
     costs = list(costs)
     if not costs:
         raise ValueError("cannot average an empty cost collection")
-    if weights is None:
-        return sum(costs) / len(costs)
-    weights = list(weights)
-    if len(weights) != len(costs) or sum(weights) <= 0.0:
-        raise ValueError("weights must match costs and sum to a positive value")
-    return sum(c * w for c, w in zip(costs, weights)) / sum(weights)
+    return sum(costs) / len(costs)
 
 
 def baseline_cost(evaluation: EdgeEvaluation) -> float:
@@ -114,14 +106,12 @@ def _chain(node) -> list:
     return chain
 
 
-def divergence_point(node, n_hypotheses: int | None = None) -> DivergenceInfo:
+def divergence_point(node) -> DivergenceInfo:
     """Locate, per hypothesis, the last node whose history still matched the primary."""
     chain = _chain(node)
-    n = n_hypotheses if n_hypotheses is not None else len(node.pending)
-    diverged: list[bool] = []
     anchors: list[object | None] = []
     break_at: list[int | None] = []
-    for h in range(n):
+    for h in range(len(node.pending)):
         anchor = None
         idx = None
         for i, cur in enumerate(chain):
@@ -132,14 +122,11 @@ def divergence_point(node, n_hypotheses: int | None = None) -> DivergenceInfo:
                 anchor = chain[i - 1]
                 idx = i
                 break
-        diverged.append(anchor is not None)
         anchors.append(anchor)
         break_at.append(idx)
     first_idx = min((i for i in break_at if i is not None), default=None)
-    if first_idx is None:
-        return DivergenceInfo(tuple(diverged), tuple(anchors), None, None)
-    return DivergenceInfo(tuple(diverged), tuple(anchors),
-                          chain[first_idx - 1], chain[first_idx])
+    return DivergenceInfo(tuple(anchors),
+                          None if first_idx is None else chain[first_idx])
 
 
 def last_intact(node, h: int):

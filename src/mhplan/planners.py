@@ -83,10 +83,15 @@ def _veh_policy(engine, node, prim, ev, dst):
 
 
 def _geh_policy(engine, node, prim, ev, dst):
-    """Admit on any-hypothesis validity at primary-style cost; defer repairs."""
+    """Admit on any-hypothesis validity at primary-style cost; defer repairs.
+
+    That cost is the child's primary tally: the tally advances by the
+    baseline cost on every edge (the primary's own cost where it can follow,
+    the baseline where it is pending), and goal candidates, whose g the goal
+    hook rewrites, are never expanded.
+    """
     hyp_g, pending, edges = histories.record_expansion(node, ev, prim, dst)
-    g = node.g + histories.baseline_cost(ev)
-    return (g, hyp_g, pending, edges)
+    return (hyp_g[0], hyp_g, pending, edges)
 
 
 def _make_peh_policy(rerouter: "Rerouter"):
@@ -227,10 +232,10 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
 
     ``divergence_node`` is the earliest node whose history broke in some
     hypothesis, so its parent is the last ancestor intact everywhere.  The
-    candidate's parent pointer moves there, the divergence node's whole
-    subtree is dropped from the open and closed sets, and the divergence node
-    itself is barred from re-expansion (its pose stays reachable through
-    freshly created nodes).  The surviving candidate acts as one long
+    candidate's parent pointer moves there, and ``engine.revoke`` drops the
+    divergence node's whole subtree from the open list and the frontier and
+    bars it from re-expansion (its poses stay reachable through freshly
+    created nodes).  The surviving candidate acts as one long
     independent edge, and later expansions concentrate around the divergence
     region instead of the goal.
     """
@@ -240,13 +245,8 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
     former_parent = nd.parent
     _consolidate_goal_edges(goal_node, former_parent)
     goal_node.parent = former_parent
-    goal_node.depth = former_parent.depth + 1
     goal_node.prim_id = -1
-    engine.revoked.add(nd.nid)
-    engine.revision_epoch += 1
-    engine._removed_memo.clear()
-    nd.invalid = True
-    engine.purge_removed()
+    engine.revoke(nd)
     if engine.trace is not None:
         engine.trace.revisions.append(
             RevisionEvent(
@@ -254,7 +254,7 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
                 divergence_nid=nd.nid,
                 former_parent_nid=former_parent.nid,
                 open_nids=tuple(n.nid for n in engine.open_snapshot()),
-                closed_nids=tuple(n.nid for n in engine.closed.nodes()),
+                kept_nids=tuple(n.nid for n in engine.frontier.nodes()),
                 expansion_index=engine.expansions,
             )
         )
@@ -281,7 +281,6 @@ class Rerouter:
         self.fraction = fraction
         self.trace = trace
         self.memo: dict[tuple[Pose, tuple[int, int], int], Trajectory | None] = {}
-        self.invocations = 0
         self._tables: dict[int, dict] = {}
 
     def reroute(self, engine: AnytimeSearch, anchor: Pose, target_cell: tuple[int, int],
@@ -295,7 +294,6 @@ class Rerouter:
             remaining = engine.remaining_budget()
             budget = math.inf if math.isinf(remaining) else self.fraction * remaining
             if budget > 0.0:
-                self.invocations += 1
                 engine.reroutes += 1
                 result = reroute(
                     anchor, target_cell, h, self.stack,

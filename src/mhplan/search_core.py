@@ -1,10 +1,11 @@
 """Anytime weighted A* over the pose lattice, with planner-supplied callbacks.
 
-The engine owns the open/closed bookkeeping, inflation schedule, and time
-budget.  Planner variants plug in through two callbacks: ``expand_policy``
-decides whether an edge is admitted and what per-hypothesis bookkeeping the
-child carries, and ``goal_hook`` decides what happens when a goal node is
-popped (immediate acceptance, cost update plus reinsertion, or discard).
+The engine owns the open list, the duplicate-detection frontier, revocation
+of stale subtrees, the inflation schedule, and the time budget.  Planner
+variants plug in through two callbacks: ``expand_policy`` decides whether an
+edge is admitted and what per-hypothesis bookkeeping the child carries, and
+``goal_hook`` decides what happens when a goal node is popped (immediate
+acceptance, cost update plus reinsertion, or discard).
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class SearchNode:
     """One lattice pose reached along one specific parent chain."""
 
     __slots__ = (
-        "nid", "pose", "g", "f", "parent", "prim_id", "depth",
+        "nid", "pose", "g", "f", "parent", "prim_id",
         "hyp_g", "pending", "edges", "invalid", "goal_updated",
     )
 
@@ -117,7 +118,6 @@ class SearchNode:
         self.f = f
         self.parent = parent
         self.prim_id = prim_id
-        self.depth = 0 if parent is None else parent.depth + 1
         self.hyp_g = hyp_g
         self.pending = pending
         self.edges = edges
@@ -132,7 +132,7 @@ class OpenList:
     """Binary heap ordered by (f, -g, pose, primitive id, creation order).
 
     Entries are skipped lazily at pop time via a caller-supplied validity
-    predicate, so superseded or revoked entries cost nothing to drop.
+    predicate, so superseded or dropped entries cost nothing to skip.
     """
 
     def __init__(self):
@@ -179,34 +179,6 @@ class OpenList:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class ClosedSet:
-    """Expanded nodes of the current inflation round, keyed by pose."""
-
-    def __init__(self):
-        self._by_pose: dict[Pose, SearchNode] = {}
-
-    def add(self, node: SearchNode) -> None:
-        self._by_pose[node.pose] = node
-
-    def get(self, pose: Pose) -> SearchNode | None:
-        return self._by_pose.get(pose)
-
-    def remove(self, pose: Pose) -> None:
-        self._by_pose.pop(pose, None)
-
-    def clear(self) -> None:
-        self._by_pose.clear()
-
-    def nodes(self) -> list[SearchNode]:
-        return list(self._by_pose.values())
-
-    def __contains__(self, pose: Pose) -> bool:
-        return pose in self._by_pose
-
-    def __len__(self) -> int:
-        return len(self._by_pose)
 
 
 class SearchProblem:
@@ -275,7 +247,7 @@ class RevisionEvent:
     divergence_nid: int
     former_parent_nid: int | None
     open_nids: tuple[int, ...]
-    closed_nids: tuple[int, ...]
+    kept_nids: tuple[int, ...]  # nodes the frontier holds after the purge
     expansion_index: int = 0  # engine expansion count when the revision ran
 
 
@@ -316,6 +288,9 @@ class BestGTable:
         self._best = {pose: held for pose, held in self._best.items()
                       if not removed(held[1])}
 
+    def nodes(self) -> list[SearchNode]:
+        return [held[1] for held in self._best.values()]
+
 
 class HistoryFrontier:
     """Per-pose antichain over per-hypothesis histories.
@@ -355,6 +330,9 @@ class HistoryFrontier:
             else:
                 del self._kept[pose]
 
+    def nodes(self) -> list[SearchNode]:
+        return [k for kept in self._kept.values() for k in kept]
+
 
 class AnytimeSearch:
     """Shared engine behind every planner mode."""
@@ -370,11 +348,10 @@ class AnytimeSearch:
         self.trace = trace
 
         self.open = OpenList()
-        self.closed = ClosedSet()
         self.frontier = frontier if frontier is not None else BestGTable()
-        self.revoked: set[int] = set()
-        self.revision_epoch = 0
-        self._removed_memo: dict[int, tuple[int, bool]] = {}
+        # nid -> whether the node lies in a subtree dropped by revoke(); None
+        # until the first revocation, when no node is removed.
+        self._removed_memo: dict[int, bool] | None = None
 
         self.eps = cfg.initial_inflation
         self.expansions = 0
@@ -421,40 +398,45 @@ class AnytimeSearch:
 
     def node_live(self, node: SearchNode) -> bool:
         """Validity filter used for pops, rekeys, and snapshots."""
-        if node.invalid or self._is_removed(node):
+        if self._is_removed(node):
             return False
         if self.in_goal_region(node.pose):
             return True
         return self.frontier.current(node)
 
     def _is_removed(self, node: SearchNode) -> bool:
-        if not self.revoked:
-            return False
-        epoch = self.revision_epoch
+        """Whether ``node`` lies in a subtree dropped by :meth:`revoke`."""
         memo = self._removed_memo
+        if memo is None:
+            return False
         chain: list[SearchNode] = []
         cur: SearchNode | None = node
         result = False
         while cur is not None:
             hit = memo.get(cur.nid)
-            if hit is not None and hit[0] == epoch:
-                result = hit[1]
+            if hit is not None:
+                result = hit
                 break
             chain.append(cur)
-            if cur.nid in self.revoked:
+            if cur.invalid:
                 result = True
                 break
             cur = cur.parent
         for c in chain:
-            memo[c.nid] = (epoch, result)
+            memo[c.nid] = result
         return result
 
-    def purge_removed(self) -> None:
-        """Eagerly drop revoked subtrees from the closed set and the frontier."""
+    def revoke(self, node: SearchNode) -> None:
+        """Drop ``node`` and its whole subtree from the search.
+
+        The subtree is purged from the frontier at once, so fresh nodes at
+        its poses are admitted again, and its open-list entries are skipped
+        when popped.  Rewire parent pointers before calling it: the memo of
+        removed nodes is rebuilt from the tree as it stands.
+        """
+        node.invalid = True
+        self._removed_memo = {}
         self.frontier.purge(self._is_removed)
-        for node in self.closed.nodes():
-            if self._is_removed(node):
-                self.closed.remove(node.pose)
 
     def open_snapshot(self) -> list[SearchNode]:
         return self.open.snapshot(self.node_live)
@@ -505,7 +487,6 @@ class AnytimeSearch:
                 self.eps = max(self.cfg.final_inflation, self.eps - self.cfg.inflation_step)
                 self.reinsert(node)
                 self.open.rekey(lambda m: m.g + self.eps * self.h(m.pose), self.node_live)
-                self.closed.clear()
                 continue
             if outcome == "exhausted":
                 status = STATUS_SOLVED if incumbent is not None else STATUS_NO_PLAN
@@ -549,7 +530,6 @@ class AnytimeSearch:
             self._expand(node)
 
     def _expand(self, node: SearchNode) -> None:
-        self.closed.add(node)
         self.expansions += 1
         self.clock.on_expansion()
         if self.trace is not None:

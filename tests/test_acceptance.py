@@ -234,7 +234,7 @@ def test_criterion_6_revision_soundness_and_termination():
                         node = node.parent
                     return False
 
-                for nid in ev.open_nids + ev.closed_nids:
+                for nid in ev.open_nids + ev.kept_nids:
                     assert not touches(nid)
                 for nid, _pose, _g in tr.expansions[ev.expansion_index:]:
                     assert not touches(nid)

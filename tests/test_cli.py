@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import mhplan
 from mhplan.cli import main
 from mhplan.harness import builtin_scenario, read_records, save_scenario
 from mhplan.search_core import AnytimeConfig
@@ -176,10 +177,14 @@ def test_render_default_name(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path):
     out = os.path.join(tmp_path, "cli.csv")
+    # The child imports the package from where this process found it.
+    src = os.path.dirname(os.path.dirname(mhplan.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mhplan.cli", "plan", "fig3", "--modes", "SH",
          "--budget", "30", "--out", out],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("SH")
     assert read_records(out)[0].mode == "SH"

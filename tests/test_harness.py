@@ -126,6 +126,13 @@ def test_parse_scenario_defaults_and_errors():
             parse_scenario(text)
 
 
+@pytest.mark.parametrize("spec", ["fig3", "fig4", "seal", "clutter{size=16}"])
+def test_scenario_file_default_poses_match_builtin(spec):
+    sc = parse_scenario(f"MHSCEN 1\nname x\nstack builtin {spec}\nmodes SH\n")
+    ref = builtin_scenario(spec)
+    assert (sc.start, sc.goal) == (ref.start, ref.goal)
+
+
 def test_dumps_is_single_trailing_newline():
     text = dumps_scenario(builtin_scenario("seal"))
     assert text.startswith("MHSCEN 1\n")

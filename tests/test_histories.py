@@ -13,8 +13,7 @@ LIB = default_library()
 
 
 def node(pose, parent=None, pending=(False, False), edges=None, hyp_g=(0.0, 0.0)):
-    depth = 0 if parent is None else parent.depth + 1
-    return SimpleNamespace(pose=pose, parent=parent, depth=depth,
+    return SimpleNamespace(pose=pose, parent=parent,
                            pending=tuple(pending), edges=edges,
                            hyp_g=tuple(hyp_g))
 
@@ -55,14 +54,6 @@ def test_average_edge_cost_basic():
     assert average_edge_cost([10.0, 14.0]) == 12.0
     with pytest.raises(ValueError):
         average_edge_cost([])
-
-
-def test_average_edge_cost_weights_hook():
-    assert average_edge_cost([10.0, 14.0], weights=[1.0, 3.0]) == 13.0
-    with pytest.raises(ValueError):
-        average_edge_cost([1.0], weights=[0.0])
-    with pytest.raises(ValueError):
-        average_edge_cost([1.0, 2.0], weights=[1.0])
 
 
 def test_average_edge_cost_properties():
@@ -133,8 +124,8 @@ def test_divergence_none_when_consistent():
     nodes = chain_of([(0, 0), (1, 0), (2, 0)],
                      [(False, False), (False, False)])
     info = divergence_point(nodes[-1])
-    assert info.diverged == (False, False)
-    assert info.global_first is None and info.first_break is None
+    assert info.anchors == (None, None)
+    assert info.first_break is None
 
 
 def test_divergence_anchor_is_last_intact():
@@ -142,11 +133,9 @@ def test_divergence_anchor_is_last_intact():
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)],
                      [(False, False), (False, True), (False, True)])
     info = divergence_point(nodes[-1])
-    assert info.diverged == (False, True)
-    assert info.anchors[1] is nodes[1]
-    assert info.global_first is nodes[1]
+    assert info.anchors == (None, nodes[1])
     assert info.first_break is nodes[2]
-    assert info.first_break.parent is info.global_first
+    assert info.first_break.parent is nodes[1]
 
 
 def test_divergence_global_first_takes_minimum_depth():
@@ -155,11 +144,9 @@ def test_divergence_global_first_takes_minimum_depth():
                 (False, False, True), (False, True, True)]
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], pendings)
     info = divergence_point(nodes[-1])
-    assert info.diverged == (False, True, True)
-    assert info.anchors[1] is nodes[3]
-    assert info.anchors[2] is nodes[1]
-    assert info.global_first is nodes[1]
+    assert info.anchors == (None, nodes[3], nodes[1])
     assert info.first_break is nodes[2]
+    assert info.first_break.parent is nodes[1]
 
 
 def test_divergence_sees_rerouted_records_as_breaks():
@@ -170,9 +157,9 @@ def test_divergence_sees_rerouted_records_as_breaks():
     child = node(Pose(1, 0, 0), root, pending=(False, False),
                  edges=(direct(root.pose, Pose(1, 0, 0)), rec))
     info = divergence_point(child)
-    assert info.diverged == (False, True)
-    assert info.global_first is root
+    assert info.anchors == (None, root)
     assert info.first_break is child
+    assert info.first_break.parent is root
 
 
 def test_last_intact_walks_past_pending():

@@ -8,10 +8,10 @@ from mhplan.lattice import (SOFT_FACTOR, Pose, default_library, evaluate_edge,
                             successors)
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import plan_sh
-from mhplan.search_core import (AnytimeConfig, BestGTable, HistoryFrontier,
-                                OpenList, PlanningInputError, SearchNode,
-                                SearchProblem, SearchTrace, VirtualClock,
-                                WallClock, heuristic)
+from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable,
+                                HistoryFrontier, OpenList, PlanningInputError,
+                                SearchNode, SearchProblem, SearchTrace,
+                                VirtualClock, WallClock, heuristic)
 
 LIB = default_library()
 
@@ -222,6 +222,38 @@ def test_history_frontier_keeps_incomparable_nodes():
     table.purge(lambda n: n is better)
     assert not table.current(better)
     assert table.admits(pose, 9.0, (9.0, 9.0), (False, False))
+
+
+# -- revocation --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("frontier", [BestGTable, HistoryFrontier])
+def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
+    problem = SearchProblem(free_stack(8, 8), LIB, Pose(0, 0, 0), Pose(7, 7, 0))
+    engine = AnytimeSearch(problem, AnytimeConfig(), None, frontier=frontier())
+
+    def grow(parent, x, y, g):
+        node = engine.new_node(Pose(x, y, 0), g, parent, 0, (g,), (False,), None)
+        engine.frontier.record(node)
+        return node
+
+    root = grow(None, 0, 0, 0.0)
+    nd = grow(root, 1, 0, 1.0)
+    subtree = [nd, grow(nd, 2, 0, 2.0)]
+    subtree.append(grow(subtree[1], 3, 0, 3.0))
+    subtree.append(grow(nd, 1, 1, 2.0))
+    sibling = grow(root, 0, 1, 1.0)
+    cousin = grow(sibling, 0, 2, 2.0)
+
+    engine.revoke(nd)
+    for node in subtree:
+        assert not engine.node_live(node)
+    assert all(n not in engine.frontier.nodes() for n in subtree)
+    for node in (root, sibling, cousin):
+        assert engine.node_live(node)
+    assert engine.frontier.admits(nd.pose, nd.g, nd.hyp_g, nd.pending)
+    fresh = grow(sibling, 1, 0, 5.0)
+    assert engine.node_live(fresh)
 
 
 # -- end-to-end search -------------------------------------------------------

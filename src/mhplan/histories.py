@@ -67,32 +67,49 @@ def baseline_cost(evaluation: EdgeEvaluation) -> float:
     raise ValueError("edge is invalid in every hypothesis")
 
 
+def advance(parent, evaluation: EdgeEvaluation
+            ) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+    """Per-hypothesis tallies and pending flags of a child across one direct edge.
+
+    Hypotheses whose history is intact and where the edge is valid advance by
+    their own cost.  Hypotheses that cannot follow (edge invalid, or already
+    pending at the parent) are marked pending; their tally advances by the
+    baseline cost until a reroute repairs them.
+    """
+    base = baseline_cost(evaluation)
+    hyp_g: list[float] = []
+    pending: list[bool] = []
+    for g, ok, cost, was_pending in zip(parent.hyp_g, evaluation.valid, evaluation.cost,
+                                        parent.pending):
+        if ok and not was_pending:
+            hyp_g.append(g + cost)
+            pending.append(False)
+        else:
+            hyp_g.append(g + base)
+            pending.append(True)
+    return tuple(hyp_g), tuple(pending)
+
+
+def direct_records(pending, costs, src: Pose, dst: Pose,
+                   prim_id: int) -> tuple[EdgeRecord | None, ...]:
+    """History increments of a child across one direct edge: a DIRECT record
+    at the hypothesis's own cost for each hypothesis that is not pending, and
+    None for each that is."""
+    return tuple([None if p else EdgeRecord(DIRECT, c, src, dst, prim_id)
+                  for p, c in zip(pending, costs)])
+
+
 def record_expansion(parent, evaluation: EdgeEvaluation, prim: MotionPrimitive,
                      dst: Pose) -> tuple[tuple[float, ...], tuple[bool, ...],
                                          tuple[EdgeRecord | None, ...]]:
     """Extend the parent's per-hypothesis histories across one direct edge.
 
-    Hypotheses whose history is intact and where the edge is valid get a direct
-    record at their own cost.  Hypotheses that cannot follow (edge invalid, or
-    already pending at the parent) get no record and are marked pending; their
-    tally advances by the baseline cost until a reroute repairs them.
-    Returns ``(hyp_g, pending, edges)`` for the child node.
+    Returns ``(hyp_g, pending, edges)`` for the child node: the tallies and
+    flags of :func:`advance` and the records of :func:`direct_records`.
     """
-    base = baseline_cost(evaluation)
-    src = parent.pose
-    hyp_g: list[float] = []
-    pending: list[bool] = []
-    edges: list[EdgeRecord | None] = []
-    for h, (ok, cost) in enumerate(zip(evaluation.valid, evaluation.cost)):
-        if ok and not parent.pending[h]:
-            hyp_g.append(parent.hyp_g[h] + cost)
-            pending.append(False)
-            edges.append(EdgeRecord(DIRECT, cost, src, dst, prim_id=prim.id))
-        else:
-            hyp_g.append(parent.hyp_g[h] + base)
-            pending.append(True)
-            edges.append(None)
-    return tuple(hyp_g), tuple(pending), tuple(edges)
+    hyp_g, pending = advance(parent, evaluation)
+    return hyp_g, pending, direct_records(pending, evaluation.cost, parent.pose, dst,
+                                          prim.id)
 
 
 def _chain(node) -> list:

@@ -10,6 +10,15 @@ from one 256-entry module table, ``SOFT_FACTOR``, instead of dividing per
 cell; the table holds the same floats the division gives, so every cost is
 bit-identical to the formula.  Nothing is cached per cost map.
 
+A :class:`PrimitiveLibrary` precomputes what the search's hot path needs of
+its primitives: the shape index (primitives with the same swept cells and arc
+length cost the same from any cell, whatever their headings), each
+primitive's swept-cell bounding box, and, per map width, the swept cells as
+flat index offsets together with the nominal duration.  The search reads
+edges through :meth:`mhplan.search_core.SearchProblem.edges`, which calls
+:func:`evaluate_edge` once per (cell, shape); :func:`successors` is the
+reference enumeration, off the hot path (the oracle and the tests use it).
+
 ``Pose`` and ``EdgeEvaluation`` are named tuples: they hash, order and print
 like the equivalent frozen records, and are cheap to create on the search's
 hot path.  As tuples they also compare equal to plain tuples of their fields.
@@ -110,7 +119,16 @@ class MotionPrimitive:
 
 
 class PrimitiveLibrary:
-    """Primitives grouped by start heading, plus the nominal execution speed."""
+    """Primitives grouped by start heading, plus the nominal execution speed.
+
+    ``shape[prim.id]`` numbers the distinct ``(swept, arc_length)`` pairs,
+    ``0 .. n_shapes - 1`` in ascending primitive id of their first use; the
+    default library's 24 primitives have 8 shapes.  ``moves[heading]`` lists,
+    in ascending primitive id, ``(prim, shape, x_lo, y_lo, x_hi, y_hi)``:
+    an edge from ``(x, y)`` stays on a ``width`` x ``height`` map exactly when
+    ``0 <= x + x_lo``, ``x + x_hi < width``, ``0 <= y + y_lo`` and
+    ``y + y_hi < height``.
+    """
 
     def __init__(self, prims: tuple[MotionPrimitive, ...], nominal_speed: float = 1.0,
                  resolution: float | None = None):
@@ -126,6 +144,31 @@ class PrimitiveLibrary:
             h: tuple(p for p in self.prims if p.start_heading == h) for h in range(N_HEADINGS)
         }
         self._by_id = {p.id: p for p in self.prims}
+        shapes: dict[tuple, int] = {}
+        self.shape = {p.id: shapes.setdefault((p.swept, p.arc_length), len(shapes))
+                      for p in self.prims}
+        self.n_shapes = len(shapes)
+        self.moves: dict[int, tuple[tuple, ...]] = {
+            h: tuple((p, self.shape[p.id],
+                      min(x for x, _ in p.swept), min(y for _, y in p.swept),
+                      max(x for x, _ in p.swept), max(y for _, y in p.swept))
+                     for p in prims)
+            for h, prims in self.by_heading.items()
+        }
+        self._geometry: dict[int, dict[int, tuple]] = {}
+
+    def geometry(self, width: int
+                 ) -> dict[int, tuple[MotionPrimitive, tuple[int, ...], float]]:
+        """Per primitive id, the primitive, its swept cells as offsets of the
+        flat cell index ``y * width + x``, and its nominal duration; cached
+        per map width."""
+        geo = self._geometry.get(width)
+        if geo is None:
+            geo = self._geometry[width] = {
+                p.id: (p, tuple(oy * width + ox for ox, oy in p.swept), self.duration(p))
+                for p in self.prims
+            }
+        return geo
 
     def duration(self, prim: MotionPrimitive) -> float:
         """Nominal (free-space) execution time of a primitive, in seconds."""
@@ -169,7 +212,9 @@ def successors(pose: Pose, lib: PrimitiveLibrary, width: int, height: int
                ) -> list[tuple[MotionPrimitive, Pose]]:
     """Applicable primitives at ``pose`` whose swept cells stay on the map.
 
-    Deterministic: ascending primitive id.
+    Deterministic: ascending primitive id.  This is the reference
+    enumeration; the search itself tests the bounding boxes of
+    :attr:`PrimitiveLibrary.moves` instead.
     """
     out = []
     for prim in lib.by_heading.get(pose.heading, ()):
@@ -206,12 +251,23 @@ class EdgeEvaluation(NamedTuple):
 
 def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
                   lib: PrimitiveLibrary) -> EdgeEvaluation:
-    """Check and cost one edge against every hypothesis in the stack."""
-    nominal = prim.arc_length / lib.nominal_speed
+    """Check and cost one edge against every hypothesis in the stack.
+
+    Only the pose's cell and the primitive's shape matter, so primitives that
+    share a shape (see :class:`PrimitiveLibrary`) give equal evaluations.  A
+    primitive of ``lib`` reads its offsets and duration from
+    :meth:`PrimitiveLibrary.geometry`; any other is costed from its own fields.
+    """
     width = stack.width
-    k = len(prim.swept)
+    geo = lib.geometry(width).get(prim.id)
+    if geo is not None and geo[0] is prim:
+        _, offsets, nominal = geo
+    else:
+        offsets = tuple(oy * width + ox for ox, oy in prim.swept)
+        nominal = lib.duration(prim)
+    k = len(offsets)
     base = pose.y * width + pose.x
-    swept = [base + oy * width + ox for ox, oy in prim.swept]
+    swept = [base + off for off in offsets]
     valid: list[bool] = []
     cost: list[float | None] = []
     factor = SOFT_FACTOR
@@ -257,11 +313,13 @@ class Trajectory:
         return self.steps[-1][2]
 
     def collision_free(self, cmap: CostMap, lib: PrimitiveLibrary) -> bool:
-        """True when no swept cell of any step is lethal in ``cmap``."""
+        """True when every swept cell of every step is on ``cmap`` and not
+        lethal there."""
         for src, pid, _dst in self.steps:
             prim = lib.get(pid)
             for ox, oy in prim.swept:
-                if cmap.is_lethal(src.x + ox, src.y + oy):
+                x, y = src.x + ox, src.y + oy
+                if not cmap.in_bounds(x, y) or cmap.is_lethal(x, y):
                     return False
         return True
 

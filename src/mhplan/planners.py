@@ -27,7 +27,7 @@ import operator
 
 from . import histories
 from .costmap import HypothesisStack
-from .histories import DIRECT, REROUTED, EdgeRecord, HistoryError
+from .histories import REROUTED, EdgeRecord, HistoryError
 from .lattice import Pose, PrimitiveLibrary, Trajectory, shared_default_library
 from .search_core import (
     ACCEPT,
@@ -65,10 +65,8 @@ def _single_policy(engine, node, prim, ev, dst):
     """Direct extension on a single-hypothesis stack."""
     if not ev.valid[0]:
         return None
-    cost = ev.cost[0]
-    g = node.g + cost
-    return (g, (g,), (False,),
-            (EdgeRecord(DIRECT, cost, node.pose, dst, prim_id=prim.id),))
+    g = node.g + ev.cost[0]
+    return (g, (g,), (False,), None)
 
 
 def _veh_policy(engine, node, prim, ev, dst):
@@ -76,10 +74,7 @@ def _veh_policy(engine, node, prim, ev, dst):
     if not ev.valid_in_all:
         return None
     hyp_g = tuple(map(operator.add, node.hyp_g, ev.cost))
-    g = histories.average_edge_cost(hyp_g)
-    src, prim_id = node.pose, prim.id
-    edges = tuple([EdgeRecord(DIRECT, c, src, dst, prim_id) for c in ev.cost])
-    return (g, hyp_g, node.pending, edges)
+    return (histories.average_edge_cost(hyp_g), hyp_g, node.pending, None)
 
 
 def _geh_policy(engine, node, prim, ev, dst):
@@ -90,8 +85,8 @@ def _geh_policy(engine, node, prim, ev, dst):
     the baseline where it is pending), and goal candidates, whose g the goal
     hook rewrites, are never expanded.
     """
-    hyp_g, pending, edges = histories.record_expansion(node, ev, prim, dst)
-    return (hyp_g[0], hyp_g, pending, edges)
+    hyp_g, pending = histories.advance(node, ev)
+    return (hyp_g[0], hyp_g, pending, None)
 
 
 def _make_peh_policy(rerouter: "Rerouter"):

@@ -6,6 +6,11 @@ variants plug in through two callbacks: ``expand_policy`` decides whether an
 edge is admitted and what per-hypothesis bookkeeping the child carries, and
 ``goal_hook`` decides what happens when a goal node is popped (immediate
 acceptance, cost update plus reinsertion, or discard).
+
+A policy returns ``(g, hyp_g, pending, edges)`` for the child.  With
+``edges=None`` the engine builds the child's direct history records itself
+(:func:`~mhplan.histories.direct_records`), and only once the frontier has
+admitted the child, so no record is built for a child that is dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .lattice import (
     PrimitiveLibrary,
     Trajectory,
     evaluate_edge,
-    successors,
 )
 
 ACCEPT = "accept"
@@ -181,15 +185,19 @@ class OpenList:
         return len(self._heap)
 
 
+_MISSING = object()
+
+
 class SearchProblem:
     """A stack, a primitive library, and one start/goal query, with an edge table.
 
-    The edge table maps each expanded pose to the tuple of its outgoing edges
-    ``(prim, dst, EdgeEvaluation)`` in ascending primitive id, keeping only
-    edges that stay on the map and are valid in at least one hypothesis.  It
-    is filled lazily, one pose at a time, through :func:`successors` and
-    :meth:`evaluate`, so the edge-cost formula stays in
-    :func:`~mhplan.lattice.evaluate_edge`.  The table holds nothing that
+    The edge table is a dict keyed by ``cell * lib.n_shapes + shape``, where
+    ``cell = y * width + x``: it holds the :class:`EdgeEvaluation` of the edge
+    of that shape (see :class:`~mhplan.lattice.PrimitiveLibrary`) from that
+    cell, or ``None`` when the edge is invalid in every hypothesis.  Poses at
+    one cell share the entries of the shapes their headings have in common.
+    It is filled lazily through :func:`~mhplan.lattice.evaluate_edge`, so the
+    edge-cost formula stays in one place.  The table holds nothing that
     depends on the start or goal, so problems over the same stack may share
     one by passing ``table``; it lives as long as its problems do.
     """
@@ -205,24 +213,45 @@ class SearchProblem:
         self.lib = lib
         self.start = start
         self.goal = goal
-        self.table: dict[Pose, tuple] = {} if table is None else table
+        self.table: dict[int, EdgeEvaluation | None] = {} if table is None else table
 
     def evaluate(self, pose: Pose, prim: MotionPrimitive) -> EdgeEvaluation:
-        """One edge against every hypothesis of the stack (not cached)."""
+        """One edge against every hypothesis of the stack (not cached; off the
+        search's hot path, which reads :meth:`edges`)."""
         return evaluate_edge(pose, prim, self.stack, self.lib)
 
     def edges(self, pose: Pose) -> tuple[tuple[MotionPrimitive, Pose, EdgeEvaluation], ...]:
-        """Outgoing edges of ``pose`` valid in some hypothesis, from the table."""
-        row = self.table.get(pose)
-        if row is None:
-            stack = self.stack
-            found = []
-            for prim, dst in successors(pose, self.lib, stack.width, stack.height):
-                ev = self.evaluate(pose, prim)
-                if ev.valid_in_any:
-                    found.append((prim, dst, ev))
-            row = self.table[pose] = tuple(found)
-        return row
+        """Outgoing edges ``(prim, dst, EdgeEvaluation)`` of ``pose`` that stay
+        on the map and are valid in some hypothesis, in ascending primitive id.
+
+        The row is assembled on every call; only the evaluations come from
+        the table.
+        """
+        x, y, heading = pose
+        stack = self.stack
+        width = stack.width
+        height = stack.height
+        lib = self.lib
+        base = (y * width + x) * lib.n_shapes
+        table = self.table
+        # Pose(...) without the named tuple's Python-level __new__, which
+        # costs about 5% of open-field plan time;
+        # test_edge_table_matches_successors_and_evaluate_edge checks the
+        # result against successors()' Pose for every pose.
+        new = tuple.__new__
+        row = []
+        for prim, shape, x_lo, y_lo, x_hi, y_hi in lib.moves[heading]:
+            if x + x_lo < 0 or x + x_hi >= width or y + y_lo < 0 or y + y_hi >= height:
+                continue
+            ev = table.get(base + shape, _MISSING)
+            if ev is _MISSING:
+                ev = evaluate_edge(pose, prim, stack, lib)
+                if not ev.valid_in_any:
+                    ev = None
+                table[base + shape] = ev
+            if ev is not None:
+                row.append((prim, new(Pose, (x + prim.dx, y + prim.dy, prim.end_heading)), ev))
+        return tuple(row)
 
 
 @dataclass
@@ -534,19 +563,20 @@ class AnytimeSearch:
         self.clock.on_expansion()
         if self.trace is not None:
             self.trace.expansions.append((node.nid, node.pose, node.g))
-        for prim, dst, ev in self.problem.edges(node.pose):
+        src = node.pose
+        for prim, dst, ev in self.problem.edges(src):
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
             g_child, hyp_g, pending, edges = spec
-            if self.in_goal_region(dst):
-                child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges)
-                self.open.push(child, child.f)
+            at_goal = self.in_goal_region(dst)
+            if not at_goal and not self.frontier.admits(dst, g_child, hyp_g, pending):
                 continue
-            if not self.frontier.admits(dst, g_child, hyp_g, pending):
-                continue
+            if edges is None:
+                edges = histories.direct_records(pending, ev.cost, src, dst, prim.id)
             child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges)
-            self.frontier.record(child)
+            if not at_goal:
+                self.frontier.record(child)
             self.open.push(child, child.f)
 
 

@@ -8,9 +8,12 @@ leave every row as it is; a change meant to alter a decision updates the rows
 and says in CHANGES.md which ones moved and why.
 """
 
+import math
+
 import pytest
 
 from mhplan.harness import builtin_scenario, run_scenario
+from mhplan.search_core import AnytimeConfig
 
 # Default AnytimeConfig (1 s virtual budget, inflation 2.0 -> 1.0), VirtualClock.
 GOLDEN = {
@@ -42,3 +45,27 @@ GOLDEN = {
 def test_result_rows_are_frozen(spec):
     rows = [rec.row() for rec in run_scenario(builtin_scenario(spec))]
     assert rows == [[spec] + row for row in GOLDEN[spec]]
+
+
+# Stacks shaped like the benchmark's workloads, planned with their modes and
+# budgets: repair-static (40², n=3, density 0.12, shift 2, default 1 s budget;
+# PEH, GEH, GEGRH) and open-field (48², n=5, unlimited budget; SH, VEH).
+WORKLOAD_GOLDEN = {
+    "clutter{size=40,n=3,seed=10,density=0.12,shift=2}": (("PEH", "GEH", "GEGRH"), None, [
+        ["PEH", "3", "0", "solved", "0.01124999999999996", "35.5", "36", "125", "1.0", "10"],
+        ["GEH", "3", "0", "solved", "0.02660000000000025", "35.5", "528", "4", "1.0", "10"],
+        ["GEGRH", "3", "0", "solved", "0.04270000000000071", "35.5", "486", "6", "1.0", "10"],
+    ]),
+    "clutter{size=48,n=5,seed=2,density=0.12,shift=2}": (
+        ("SH", "VEH"), AnytimeConfig(time_budget=math.inf), [
+            ["SH", "5", "0", "solved", "0.09709999999999747", "48.5", "1942", "0", "1.0", "2"],
+            ["VEH", "5", "0", "solved", "0.37034999999996737", "70.0", "7407", "0", "1.0", "2"],
+        ]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WORKLOAD_GOLDEN))
+def test_workload_shaped_rows_are_frozen(spec):
+    modes, cfg, expected = WORKLOAD_GOLDEN[spec]
+    rows = [rec.row() for rec in run_scenario(builtin_scenario(spec, modes=modes, cfg=cfg))]
+    assert rows == [[spec] + row for row in expected]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack
-from mhplan.lattice import (CARDINAL_ARC, DIAGONAL_ARC, DIRS, N_HEADINGS,
+from mhplan.lattice import (CARDINAL_ARC, DIAGONAL_ARC, DIRS, N_HEADINGS, SOFT_FACTOR,
                             EdgeEvaluation, LibraryFormatError, MotionPrimitive, Pose,
                             Trajectory, default_library, euclid_cells,
                             evaluate_edge, load_library, save_library,
@@ -121,6 +121,42 @@ def test_default_library_shape():
             assert (p.dx, p.dy) == DIRS[p.end_heading]
             expect = DIAGONAL_ARC if p.dx and p.dy else CARDINAL_ARC
             assert p.arc_length == expect
+
+
+def test_library_shapes_bounding_boxes_and_geometry():
+    lib = default_library(resolution=0.5, nominal_speed=2.0)
+    # One shape per displacement: forward from h and left from h - 1 share one.
+    assert lib.n_shapes == N_HEADINGS
+    for p in lib.prims:
+        same = [q.id for q in lib.prims if lib.shape[q.id] == lib.shape[p.id]]
+        assert same == [q.id for q in lib.prims
+                        if (q.swept, q.arc_length) == (p.swept, p.arc_length)]
+    assert sorted(set(lib.shape.values())) == list(range(N_HEADINGS))
+    for h in range(N_HEADINGS):
+        assert [m[0] for m in lib.moves[h]] == list(lib.by_heading[h])
+        for p, shape, x_lo, y_lo, x_hi, y_hi in lib.moves[h]:
+            assert shape == lib.shape[p.id]
+            xs = [x for x, _ in p.swept]
+            ys = [y for _, y in p.swept]
+            assert (x_lo, y_lo, x_hi, y_hi) == (min(xs), min(ys), max(xs), max(ys))
+    geo = lib.geometry(7)
+    assert lib.geometry(7) is geo and lib.geometry(9) is not geo
+    for p in lib.prims:
+        assert geo[p.id] == (p, tuple(oy * 7 + ox for ox, oy in p.swept), lib.duration(p))
+
+
+def test_evaluate_edge_costs_foreign_primitives_from_their_own_fields():
+    lib = default_library()
+    stack = HypothesisStack((CostMap(6, 6, 1.0, tuple(range(36))),))
+    twin = default_library().get(4)  # equal to lib's primitive 4, another object
+    assert evaluate_edge(Pose(3, 3, 1), twin, stack, lib) == evaluate_edge(
+        Pose(3, 3, 1), lib.get(4), stack, lib)
+    # A primitive that reuses a library id, and one with an unknown id, are
+    # costed from their own swept cells and arc length.
+    expect = EdgeEvaluation((True,), (2.0 * SOFT_FACTOR[22],))
+    for pid in (4, 99):
+        prim = MotionPrimitive(pid, 1, 1, 0, 0, 2.0, ((1, 0),))
+        assert evaluate_edge(Pose(3, 3, 1), prim, stack, lib) == expect
 
 
 def test_library_respects_resolution_and_speed():
@@ -249,6 +285,13 @@ def test_trajectory_collision_check():
     free = CostMap(4, 4, 1.0, (0,) * 16)
     assert traj.collision_free(free, lib)
     assert not traj.collision_free(free.with_cells({(2, 1): 255}), lib)
+
+
+def test_trajectory_leaving_the_map_is_not_collision_free():
+    lib = default_library()
+    p0, p1 = Pose(3, 0, 0), Pose(4, 0, 0)
+    traj = Trajectory(((p0, 0, p1),), 1.0, p0)
+    assert not traj.collision_free(CostMap(4, 4, 1.0, (0,) * 16), lib)
 
 
 def test_euclid_cells():

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_case2, gen_clutter
-from mhplan.histories import REROUTED
-from mhplan.lattice import Pose, default_library
+from mhplan.harness import clutter_endpoints
+from mhplan.histories import DIRECT, REROUTED, record_expansion
+from mhplan.lattice import Pose, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import (MODES, PlannerMode, Rerouter, plan, plan_geh,
                              plan_gegrh, plan_peh, plan_sh, plan_veh, reroute)
-from mhplan.search_core import AnytimeConfig, SearchTrace, VirtualClock
+from mhplan.search_core import AnytimeConfig, SearchProblem, SearchTrace, VirtualClock
 
 LIB = default_library()
 UNLIMITED = AnytimeConfig(time_budget=math.inf)
@@ -246,6 +247,70 @@ def test_peh_never_beaten_by_veh():
         peh = plan_peh(stack, start, goal, GREEDY_FREE)
         assert peh.status == "solved", seed
         assert peh.cost <= veh.cost + 1e-9, seed
+
+
+# -- deferred history records ------------------------------------------------
+
+
+def test_deferred_records_equal_record_expansion():
+    # The engine builds a child's direct records only after admission; every
+    # node must still carry what record_expansion gives for its edge, apart
+    # from the hypotheses PEH repaired with a detour and from goal candidates
+    # whose histories the goal hook rewrote.
+    start, goal = clutter_endpoints(24)
+    stack = gen_clutter(24, 24, seed=3, density=0.15, n_hypotheses=3, shift=2,
+                        keep_free=(start.cell(), goal.cell()))
+    seen = {"pending": 0, "rerouted": 0}
+    for mode in ("SH", "VEH", "GEH", "PEH"):
+        trace = SearchTrace()
+        plan(mode, stack, start, goal, trace=trace)
+        view = stack.single(0) if mode == "SH" else stack
+        checked = 0
+        for node in trace.nodes.values():
+            parent = node.parent
+            if parent is None or node.goal_updated:
+                continue
+            prim = LIB.get(node.prim_id)
+            ev = evaluate_edge(parent.pose, prim, view, LIB)
+            hyp_g, pending, edges = record_expansion(parent, ev, prim, node.pose)
+            if mode in ("SH", "VEH"):
+                assert not any(pending) and all(e.kind == DIRECT for e in edges)
+            for h, rec in enumerate(node.edges):
+                if rec is not None and rec.kind == REROUTED:
+                    assert mode == "PEH" and pending[h]
+                    seen["rerouted"] += 1
+                    continue
+                assert (node.hyp_g[h], node.pending[h], rec) == (
+                    hyp_g[h], pending[h], edges[h]), (mode, node)
+                seen["pending"] += pending[h]
+            checked += 1
+        assert checked > 50, mode
+    assert seen["pending"] > 0 and seen["rerouted"] > 0
+
+
+def test_rerouter_searches_of_one_hypothesis_share_one_table():
+    start, goal = clutter_endpoints(24)
+    stack = gen_clutter(24, 24, seed=3, density=0.15, n_hypotheses=3, shift=2,
+                        keep_free=(start.cell(), goal.cell()))
+    rerouter = Rerouter(stack, LIB)
+    engine = SimpleNamespace(remaining_budget=lambda: math.inf,
+                             clock=VirtualClock(), reroutes=0)
+    assert rerouter.reroute(engine, start, goal.cell(), 1) is not None
+    table = rerouter._tables[1]
+    after_first = len(table)
+    assert rerouter.reroute(engine, Pose(goal.x, goal.y, 4), start.cell(), 1) is not None
+    assert rerouter._tables[1] is table and len(table) > after_first > 0
+    assert engine.reroutes == 2
+    filled = dict(table)
+    view = stack.single(1)
+    shared = SearchProblem(view, LIB, start, goal, table=table)
+    fresh = SearchProblem(view, LIB, start, goal)
+    for x in range(24):
+        for y in range(24):
+            for heading in range(8):
+                pose = Pose(x, y, heading)
+                assert shared.edges(pose) == fresh.edges(pose)
+    assert all(table[key] is ev for key, ev in filled.items())
 
 
 # -- rerouting ---------------------------------------------------------------

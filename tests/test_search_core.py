@@ -4,8 +4,9 @@ import random
 import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack
-from mhplan.lattice import (SOFT_FACTOR, Pose, default_library, evaluate_edge,
-                            successors)
+from mhplan.lattice import (SOFT_FACTOR, EdgeEvaluation, MotionPrimitive, Pose,
+                            PrimitiveLibrary, default_library, evaluate_edge,
+                            successors, supercover_offsets)
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import plan_sh
 from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable,
@@ -57,11 +58,9 @@ def test_heuristic_admissible_on_random_instances():
 # -- edge table --------------------------------------------------------------
 
 
-def test_edge_table_matches_successors_and_evaluate_edge():
-    # Three hypotheses, each with every soft value 0-253 and with cells at the
-    # lethal threshold (254), some shared and some not; every pose is checked,
-    # the border ones included.
-    w = h = 18
+def _soft_lethal_stack(w, h):
+    """Three hypotheses, each with every soft value 0-253 and with cells at
+    the lethal threshold (254), some shared and some not."""
     maps = []
     for m in range(3):
         cells, soft = [], 0
@@ -73,23 +72,75 @@ def test_edge_table_matches_successors_and_evaluate_edge():
                 soft += 1
         assert set(cells) == set(range(255))
         maps.append(CostMap(w, h, 1.0, tuple(cells)))
-    stack = HypothesisStack(tuple(maps))
-    problem = SearchProblem(stack, LIB, Pose(0, 0, 0), Pose(w - 1, h - 1, 0))
-    on_map = kept = 0
-    for x in range(w):
-        for y in range(h):
-            for heading in range(8):
-                pose = Pose(x, y, heading)
-                expect = [(p, d, evaluate_edge(pose, p, stack, LIB))
-                          for p, d in successors(pose, LIB, w, h)]
-                on_map += len(expect)
-                expect = tuple(e for e in expect if e[2].valid_in_any)
-                row = problem.edges(pose)
-                assert row == expect
-                assert problem.edges(pose) is row
-                kept += len(row)
-    assert 0 < kept < on_map < w * h * 8 * 3
+    return HypothesisStack(tuple(maps))
+
+
+def _shape_sharing_library():
+    """Primitives that share a shape while ending at different headings: the
+    table must key on (swept, arc length), not on the end heading."""
+    step = supercover_offsets(1, 0)
+    hop = supercover_offsets(2, 1)
+    return PrimitiveLibrary((
+        MotionPrimitive(0, 0, 1, 0, 0, 1.0, step),
+        MotionPrimitive(1, 0, 1, 0, 1, 1.0, step),  # shape of 0, ends at heading 1
+        MotionPrimitive(2, 0, 2, 1, 0, 2.5, hop),
+        MotionPrimitive(3, 0, 1, 0, 0, 2.0, step),  # swept of 0, another arc length
+        MotionPrimitive(4, 1, 1, 0, 2, 1.0, step),  # shape of 0 from heading 1
+        MotionPrimitive(5, 1, 2, 1, 7, 2.5, hop),   # shape of 2, ends at heading 7
+    ))
+
+
+def test_edge_table_matches_successors_and_evaluate_edge():
+    # Every pose is checked, the border ones included, with the default
+    # library and with one whose shared shapes end at different headings.  A
+    # row holds, as tuples in ascending primitive id, the on-map edges valid
+    # in some hypothesis; the edges of one shape from one cell share one
+    # evaluation, whatever the pose's heading.
+    w = h = 18
+    stack = _soft_lethal_stack(w, h)
+    for lib in (LIB, _shape_sharing_library()):
+        problem = SearchProblem(stack, lib, Pose(0, 0, 0), Pose(w - 1, h - 1, 0))
+        on_map = kept = 0
+        for x in range(w):
+            for y in range(h):
+                by_shape = {}
+                for heading in range(8):
+                    pose = Pose(x, y, heading)
+                    expect = [(p, d, evaluate_edge(pose, p, stack, lib))
+                              for p, d in successors(pose, lib, w, h)]
+                    on_map += len(expect)
+                    expect = tuple(e for e in expect if e[2].valid_in_any)
+                    row = problem.edges(pose)
+                    assert type(row) is tuple and row == expect
+                    assert problem.edges(pose) == row
+                    for prim, dst, ev in row:
+                        assert type(dst) is Pose
+                        assert by_shape.setdefault(lib.shape[prim.id], ev) is ev
+                    kept += len(row)
+        assert 0 < kept < on_map < w * h * len(lib)
     assert SOFT_FACTOR == tuple(1.0 + v / 255.0 for v in range(256))
+
+
+def test_edge_table_shares_one_evaluation_across_headings():
+    lib = _shape_sharing_library()
+    assert lib.n_shapes == 3
+    assert lib.shape[0] == lib.shape[1] == lib.shape[4] != lib.shape[3]
+    assert lib.shape[2] == lib.shape[5]
+    stack = HypothesisStack((CostMap(6, 6, 1.0, tuple(range(36))),))
+    problem = SearchProblem(stack, lib, Pose(0, 0, 0), Pose(5, 5, 0))
+    row0 = {prim.id: (dst, ev) for prim, dst, ev in problem.edges(Pose(2, 2, 0))}
+    row1 = {prim.id: (dst, ev) for prim, dst, ev in problem.edges(Pose(2, 2, 1))}
+    assert sorted(row0) == [0, 1, 2, 3] and sorted(row1) == [4, 5]
+    assert [row0[i][0] for i in (0, 1)] == [Pose(3, 2, 0), Pose(3, 2, 1)]
+    assert row1[4][0] == Pose(3, 2, 2) and row1[5][0] == Pose(4, 3, 7)
+    assert row0[0][1] is row0[1][1] is row1[4][1]
+    assert row0[2][1] is row1[5][1]
+    assert row0[3][1] == EdgeEvaluation((True,), (2.0 * (1.0 + 15 / 255.0),))
+    # The four primitives of heading 0 fill three entries, heading 1 adds
+    # none at the same cell, and another cell adds its own.
+    assert len(problem.table) == 3
+    problem.edges(Pose(3, 3, 1))
+    assert len(problem.table) == 5
 
 
 # -- configuration and clocks ------------------------------------------------

@@ -1,9 +1,14 @@
 """Per-hypothesis expansion histories, divergence detection, and cost averaging.
 
-Every search node carries, for each world hypothesis, the incremental edge
-record that extended that hypothesis's trajectory at this step (or a pending
-marker where the hypothesis could not follow), plus a running per-hypothesis
-cost tally.  Full per-hypothesis trajectories are reconstructed by walking the
+Every search node has, for each world hypothesis, the incremental edge record
+that extended that hypothesis's trajectory at this step (or a pending marker
+where the hypothesis could not follow), plus a running per-hypothesis cost
+tally.  Most records are DIRECT and follow from the node's incoming edge, so
+a node stores only the tallies and pending flags; :func:`records` rebuilds
+the records when they are read, through :func:`direct_records`.  A node
+stores its records explicitly only where some record is not the direct one:
+a REROUTED detour spliced in by a repair, or a goal candidate's rewritten
+history.  Full per-hypothesis trajectories are reconstructed by walking the
 parent chain and stitching the records together.
 """
 
@@ -23,8 +28,8 @@ class HistoryError(RuntimeError):
 
 
 class EdgeRecord(NamedTuple):
-    """One history increment for one hypothesis (a named tuple: one is made
-    per hypothesis per admitted edge)."""
+    """One history increment for one hypothesis (a named tuple: DIRECT ones
+    are rebuilt every time a node's records are read)."""
 
     kind: str  # DIRECT or REROUTED
     cost: float
@@ -51,8 +56,7 @@ class DivergenceInfo:
 
 
 def average_edge_cost(costs) -> float:
-    """Mean cost over hypotheses."""
-    costs = list(costs)
+    """Mean cost over hypotheses; ``costs`` is a sequence."""
     if not costs:
         raise ValueError("cannot average an empty cost collection")
     return sum(costs) / len(costs)
@@ -112,6 +116,19 @@ def record_expansion(parent, evaluation: EdgeEvaluation, prim: MotionPrimitive,
                                           prim.id)
 
 
+def records(node) -> tuple[EdgeRecord | None, ...] | None:
+    """History increments of ``node``: its explicit ``edges`` when it has
+    them, otherwise the :func:`direct_records` of its incoming edge, and None
+    at the root."""
+    edges = node.edges
+    if edges is not None:
+        return edges
+    parent = node.parent
+    if parent is None:
+        return None
+    return direct_records(node.pending, node.ev.cost, parent.pose, node.pose, node.prim_id)
+
+
 def _chain(node) -> list:
     """Parent chain of ``node``, root first."""
     chain = []
@@ -124,7 +141,11 @@ def _chain(node) -> list:
 
 
 def divergence_point(node) -> DivergenceInfo:
-    """Locate, per hypothesis, the last node whose history still matched the primary."""
+    """Locate, per hypothesis, the last node whose history still matched the primary.
+
+    A history breaks where it is pending or where its record is REROUTED;
+    only explicitly stored ``edges`` can hold a REROUTED record.
+    """
     chain = _chain(node)
     anchors: list[object | None] = []
     break_at: list[int | None] = []
@@ -164,22 +185,23 @@ def reconstruct(node, h: int) -> list[EdgeRecord]:
     """
     if node.pending[h]:
         raise HistoryError(f"hypothesis {h} is pending at the requested node")
-    records: list[EdgeRecord] = []
+    out: list[EdgeRecord] = []
     for cur in _chain(node):
-        if cur.edges is None:
+        recs = records(cur)
+        if recs is None:
             continue
-        rec = cur.edges[h]
+        rec = recs[h]
         if rec is not None:
-            records.append(rec)
+            out.append(rec)
     tail: Pose | None = None
-    for rec in records:
+    for rec in out:
         if tail is not None and rec.src.cell() != tail.cell():
             raise HistoryError(
                 f"hypothesis {h} history is disconnected: segment starts at "
                 f"{rec.src.cell()} but previous segment ended at {tail.cell()}"
             )
         tail = rec.dst
-    return records
+    return out
 
 
 def stitch(records: list[EdgeRecord], start: Pose) -> Trajectory:

@@ -91,10 +91,11 @@ def _geh_policy(engine, node, prim, ev, dst):
 
 def _make_peh_policy(rerouter: "Rerouter"):
     def policy(engine, node, prim, ev, dst):
-        hyp_g, pending, edges = histories.record_expansion(node, ev, prim, dst)
+        hyp_g, pending = histories.advance(node, ev)
+        edges = None
         if any(pending):
             hyp_g, pending, edges = _repair_pending(
-                engine, rerouter, node, dst, hyp_g, pending, edges
+                engine, rerouter, node, prim, ev, dst, hyp_g, pending
             )
         g = histories.average_edge_cost(hyp_g)
         return (g, hyp_g, pending, edges)
@@ -102,11 +103,16 @@ def _make_peh_policy(rerouter: "Rerouter"):
     return policy
 
 
-def _repair_pending(engine, rerouter, parent, dst, hyp_g, pending, edges):
-    """Try to close every pending hypothesis with a detour ending at ``dst``."""
-    hyp_g = list(hyp_g)
-    pending = list(pending)
-    edges = list(edges)
+def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
+    """Try to close every pending hypothesis with a detour ending at ``dst``.
+
+    Returns the updated tallies and flags, and the child's records: None when
+    nothing was repaired (they are the direct ones), otherwise the direct
+    records with each repaired hypothesis's detour spliced in.
+    """
+    new_g = list(hyp_g)
+    new_pending = list(pending)
+    edges = None
     for h, is_pending in enumerate(pending):
         if not is_pending:
             continue
@@ -116,10 +122,15 @@ def _repair_pending(engine, rerouter, parent, dst, hyp_g, pending, edges):
         traj = rerouter.reroute(engine, anchor.pose, dst.cell(), h)
         if traj is None:
             continue
-        hyp_g[h] = anchor.hyp_g[h] + traj.duration
-        pending[h] = False
+        if edges is None:
+            edges = list(histories.direct_records(pending, ev.cost, parent.pose, dst,
+                                                  prim.id))
+        new_g[h] = anchor.hyp_g[h] + traj.duration
+        new_pending[h] = False
         edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, dst, detour=traj)
-    return tuple(hyp_g), tuple(pending), tuple(edges)
+    if edges is None:
+        return hyp_g, pending, None
+    return tuple(new_g), tuple(new_pending), tuple(edges)
 
 
 # -- goal hooks --------------------------------------------------------------
@@ -145,7 +156,7 @@ def _make_goal_update_hook(rerouter: "Rerouter", penalty_factor: float, revise: 
         n = len(node.pending)
         hyp_g = list(node.hyp_g)
         pending = list(node.pending)
-        edges = list(node.edges)
+        edges = list(histories.records(node))
         goal_cell = node.pose.cell()
         for h in range(n):
             if not pending[h]:
@@ -191,8 +202,9 @@ def _segment_records(goal_node, stop_node, h: int) -> list[EdgeRecord]:
     recs: list[EdgeRecord] = []
     cur = goal_node
     while cur is not None and cur is not stop_node:
-        if cur.edges is not None and cur.edges[h] is not None:
-            recs.append(cur.edges[h])
+        node_recs = histories.records(cur)
+        if node_recs is not None and node_recs[h] is not None:
+            recs.append(node_recs[h])
         cur = cur.parent
     if cur is None:
         raise HistoryError("revision target is not an ancestor of the goal candidate")

@@ -7,14 +7,21 @@ edge is admitted and what per-hypothesis bookkeeping the child carries, and
 ``goal_hook`` decides what happens when a goal node is popped (immediate
 acceptance, cost update plus reinsertion, or discard).
 
-A policy returns ``(g, hyp_g, pending, edges)`` for the child.  With
-``edges=None`` the engine builds the child's direct history records itself
-(:func:`~mhplan.histories.direct_records`), and only once the frontier has
-admitted the child, so no record is built for a child that is dropped.
+A policy returns ``(g, hyp_g, pending, edges)`` for the child, with
+``edges=None`` unless some of the child's history records are not the direct
+ones.  A node keeps the :class:`~mhplan.lattice.EdgeEvaluation` of its
+incoming edge, an object the edge table already holds, and its direct records
+are derived from it when read (:func:`~mhplan.histories.records`), so the
+search builds none.
+
+A search creates no reference cycles: every node points only at its parent.
+:meth:`AnytimeSearch.run` therefore pauses Python's cyclic garbage collector,
+which would otherwise rescan the growing search tree, and restores it after.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import time
@@ -107,15 +114,23 @@ def heuristic(pose: Pose, goal: Pose, resolution: float = 1.0,
 
 
 class SearchNode:
-    """One lattice pose reached along one specific parent chain."""
+    """One lattice pose reached along one specific parent chain.
+
+    ``ev`` is the evaluation of the incoming edge (None at the root).
+    ``edges`` holds the per-hypothesis history records only where some of
+    them is not the direct record of that edge (a repair's detour, a goal
+    candidate's rewritten history); otherwise it is None and
+    :func:`~mhplan.histories.records` derives them from ``ev``.
+    """
 
     __slots__ = (
         "nid", "pose", "g", "f", "parent", "prim_id",
-        "hyp_g", "pending", "edges", "invalid", "goal_updated",
+        "hyp_g", "pending", "edges", "ev", "invalid", "goal_updated",
     )
 
     def __init__(self, nid: int, pose: Pose, g: float, f: float, parent, prim_id: int,
-                 hyp_g: tuple[float, ...], pending: tuple[bool, ...], edges):
+                 hyp_g: tuple[float, ...], pending: tuple[bool, ...], edges,
+                 ev: EdgeEvaluation | None = None):
         self.nid = nid
         self.pose = pose
         self.g = g
@@ -125,6 +140,7 @@ class SearchNode:
         self.hyp_g = hyp_g
         self.pending = pending
         self.edges = edges
+        self.ev = ev
         self.invalid = False
         self.goal_updated = False
 
@@ -297,28 +313,31 @@ def _default_goal_hook(engine, node) -> str:
 
 
 class BestGTable:
-    """Cheapest-node-per-pose duplicate detection (scalar g)."""
+    """Cheapest-node-per-pose duplicate detection (scalar g).
+
+    It reads a kept node's ``g`` directly: only goal candidates have their
+    ``g`` rewritten, and they never enter the frontier.
+    """
 
     def __init__(self):
-        self._best: dict[Pose, tuple[float, SearchNode]] = {}
+        self._best: dict[Pose, SearchNode] = {}
 
     def admits(self, pose: Pose, g: float, hyp_g, pending) -> bool:
         held = self._best.get(pose)
-        return held is None or g < held[0]
+        return held is None or g < held.g
 
     def record(self, node: SearchNode) -> None:
-        self._best[node.pose] = (node.g, node)
+        self._best[node.pose] = node
 
     def current(self, node: SearchNode) -> bool:
-        held = self._best.get(node.pose)
-        return held is not None and held[1] is node
+        return self._best.get(node.pose) is node
 
     def purge(self, removed) -> None:
         self._best = {pose: held for pose, held in self._best.items()
-                      if not removed(held[1])}
+                      if not removed(held)}
 
     def nodes(self) -> list[SearchNode]:
-        return [held[1] for held in self._best.values()]
+        return list(self._best.values())
 
 
 class HistoryFrontier:
@@ -412,9 +431,9 @@ class AnytimeSearch:
         return self.cfg.time_budget - self.elapsed()
 
     def new_node(self, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g, pending, edges) -> SearchNode:
+                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None) -> SearchNode:
         node = SearchNode(self._next_nid, pose, g, g + self.eps * self.h(pose),
-                          parent, prim_id, hyp_g, pending, edges)
+                          parent, prim_id, hyp_g, pending, edges, ev)
         self._next_nid += 1
         if self.trace is not None:
             self.trace.nodes[node.nid] = node
@@ -488,6 +507,18 @@ class AnytimeSearch:
                 )
 
     def run(self) -> PlanResult:
+        """Search until the schedule ends, the budget runs out or the open
+        list empties, with the cyclic garbage collector paused throughout (a
+        nested search finds it paused and leaves it so)."""
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._search()
+        finally:
+            if gc_enabled:
+                gc.enable()
+
+    def _search(self) -> PlanResult:
         self._validate()
         self._t0 = self.clock.now()
         n = self._n_hyp
@@ -563,8 +594,7 @@ class AnytimeSearch:
         self.clock.on_expansion()
         if self.trace is not None:
             self.trace.expansions.append((node.nid, node.pose, node.g))
-        src = node.pose
-        for prim, dst, ev in self.problem.edges(src):
+        for prim, dst, ev in self.problem.edges(node.pose):
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
@@ -572,9 +602,7 @@ class AnytimeSearch:
             at_goal = self.in_goal_region(dst)
             if not at_goal and not self.frontier.admits(dst, g_child, hyp_g, pending):
                 continue
-            if edges is None:
-                edges = histories.direct_records(pending, ev.cost, src, dst, prim.id)
-            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges)
+            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev)
             if not at_goal:
                 self.frontier.record(child)
             self.open.push(child, child.f)

@@ -6,16 +6,17 @@ import pytest
 from mhplan.histories import (DIRECT, REROUTED, DivergenceInfo, EdgeRecord,
                               HistoryError, average_edge_cost, baseline_cost,
                               divergence_point, last_intact, reconstruct,
-                              record_expansion, stitch)
+                              record_expansion, records, stitch)
 from mhplan.lattice import (EdgeEvaluation, Pose, Trajectory, default_library)
 
 LIB = default_library()
 
 
-def node(pose, parent=None, pending=(False, False), edges=None, hyp_g=(0.0, 0.0)):
+def node(pose, parent=None, pending=(False, False), edges=None, hyp_g=(0.0, 0.0),
+         ev=None, prim_id=-1):
     return SimpleNamespace(pose=pose, parent=parent,
                            pending=tuple(pending), edges=edges,
-                           hyp_g=tuple(hyp_g))
+                           hyp_g=tuple(hyp_g), ev=ev, prim_id=prim_id)
 
 
 def direct(src, dst, cost=1.0, prim_id=0):
@@ -115,6 +116,19 @@ def test_record_expansion_pending_parent_stays_pending():
     assert pending == (False, True)
     assert edges[1] is None
     assert hyp_g == (2.0, 2.0)
+
+
+def test_records_derive_direct_records_from_the_incoming_edge():
+    root = node(Pose(1, 1, 0))
+    ev = EdgeEvaluation((True, False), (1.0, None))
+    child = node(Pose(2, 1, 0), root, pending=(False, True), ev=ev, prim_id=3)
+    assert records(root) is None
+    assert records(child) == (direct(root.pose, child.pose, 1.0, prim_id=3), None)
+    assert reconstruct(child, 0) == [direct(root.pose, child.pose, 1.0, prim_id=3)]
+    detour = Trajectory(((root.pose, 2, Pose(2, 1, 0)),), 2.5, root.pose)
+    child.edges = (records(child)[0],
+                   EdgeRecord(REROUTED, 2.5, root.pose, child.pose, detour=detour))
+    assert records(child) is child.edges
 
 
 # -- divergence --------------------------------------------------------------

@@ -1,17 +1,21 @@
+import contextlib
+import gc
 import math
 from statistics import fmean
 from types import SimpleNamespace
 
 import pytest
 
+from mhplan import planners
 from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_case2, gen_clutter
 from mhplan.harness import clutter_endpoints
-from mhplan.histories import DIRECT, REROUTED, record_expansion
+from mhplan.histories import DIRECT, REROUTED, record_expansion, records
 from mhplan.lattice import Pose, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import (MODES, PlannerMode, Rerouter, plan, plan_geh,
                              plan_gegrh, plan_peh, plan_sh, plan_veh, reroute)
-from mhplan.search_core import AnytimeConfig, SearchProblem, SearchTrace, VirtualClock
+from mhplan.search_core import (AnytimeConfig, PlanningInputError, SearchProblem, SearchTrace,
+                                VirtualClock)
 
 LIB = default_library()
 UNLIMITED = AnytimeConfig(time_budget=math.inf)
@@ -249,33 +253,42 @@ def test_peh_never_beaten_by_veh():
         assert peh.cost <= veh.cost + 1e-9, seed
 
 
-# -- deferred history records ------------------------------------------------
+# -- derived history records -------------------------------------------------
 
 
 def test_deferred_records_equal_record_expansion():
-    # The engine builds a child's direct records only after admission; every
-    # node must still carry what record_expansion gives for its edge, apart
-    # from the hypotheses PEH repaired with a detour and from goal candidates
-    # whose histories the goal hook rewrote.
+    # Nodes store no direct records: histories.records derives them from the
+    # incoming edge when read.  Every node must still read as what
+    # record_expansion gives for its edge, apart from the hypotheses PEH
+    # repaired with a detour and from goal candidates whose histories the
+    # goal hook rewrote.  Only those two store records.
     start, goal = clutter_endpoints(24)
     stack = gen_clutter(24, 24, seed=3, density=0.15, n_hypotheses=3, shift=2,
                         keep_free=(start.cell(), goal.cell()))
     seen = {"pending": 0, "rerouted": 0}
-    for mode in ("SH", "VEH", "GEH", "PEH"):
+    for mode in ("SH", "VEH", "GEH", "GEGRH", "PEH"):
         trace = SearchTrace()
         plan(mode, stack, start, goal, trace=trace)
         view = stack.single(0) if mode == "SH" else stack
         checked = 0
         for node in trace.nodes.values():
             parent = node.parent
-            if parent is None or node.goal_updated:
+            if parent is None:
+                assert records(node) is None
                 continue
+            if node.goal_updated:
+                continue
+            if mode == "PEH":
+                assert node.edges is None or any(
+                    rec is not None and rec.kind == REROUTED for rec in node.edges)
+            else:
+                assert node.edges is None, (mode, node)
             prim = LIB.get(node.prim_id)
             ev = evaluate_edge(parent.pose, prim, view, LIB)
             hyp_g, pending, edges = record_expansion(parent, ev, prim, node.pose)
             if mode in ("SH", "VEH"):
                 assert not any(pending) and all(e.kind == DIRECT for e in edges)
-            for h, rec in enumerate(node.edges):
+            for h, rec in enumerate(records(node)):
                 if rec is not None and rec.kind == REROUTED:
                     assert mode == "PEH" and pending[h]
                     seen["rerouted"] += 1
@@ -286,6 +299,70 @@ def test_deferred_records_equal_record_expansion():
             checked += 1
         assert checked > 50, mode
     assert seen["pending"] > 0 and seen["rerouted"] > 0
+
+
+# -- cyclic garbage collector ------------------------------------------------
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector enabled or not, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_restores_the_collector_state(enabled):
+    with collector(enabled):
+        plan("SH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+        assert gc.isenabled() is enabled
+        with pytest.raises(PlanningInputError):
+            plan("GEH", CASE1, CASE1_START, Pose(40, 2, 1), UNLIMITED)
+        assert gc.isenabled() is enabled
+
+
+def test_collector_stays_paused_across_nested_reroutes(monkeypatch):
+    seen = []
+    make_hook = planners._make_goal_update_hook
+
+    def spying_hook_factory(*args, **kwargs):
+        hook = make_hook(*args, **kwargs)
+
+        def spy(engine, node):
+            seen.append(gc.isenabled())
+            decision = hook(engine, node)
+            seen.append(gc.isenabled())
+            return decision
+
+        return spy
+
+    monkeypatch.setattr(planners, "_make_goal_update_hook", spying_hook_factory)
+    with collector(True):
+        res = plan_geh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+        assert gc.isenabled()
+    assert res.reroutes > 0
+    assert seen and not any(seen)
+
+
+def test_plans_leave_no_reference_cycles():
+    # AnytimeSearch.run pauses the cyclic collector on this premise.
+    start, goal = clutter_endpoints(24)
+    stacks = [gen_clutter(24, 24, seed=seed, density=0.15, n_hypotheses=3, shift=2,
+                          keep_free=(start.cell(), goal.cell())) for seed in (3, 4)]
+    # With the collector off throughout, no cycle made anywhere in plan()
+    # can be collected before the check.
+    with collector(False):
+        for stack in stacks:
+            for mode in MODES:
+                for trace in (None, SearchTrace()):
+                    gc.collect()
+                    res = plan(mode, stack, start, goal, trace=trace)
+                    assert gc.collect() == 0, (mode, trace is not None)
+                    assert res.expansions > 0
 
 
 def test_rerouter_searches_of_one_hypothesis_share_one_table():

@@ -8,16 +8,23 @@ a cost map reduce to a scan over those cells.
 Edge costs read the soft-cost factor ``1 + value / 255`` of each cell value
 from one 256-entry module table, ``SOFT_FACTOR``, instead of dividing per
 cell; the table holds the same floats the division gives, so every cost is
-bit-identical to the formula.  Nothing is cached per cost map.
+bit-identical to the formula.
 
 A :class:`PrimitiveLibrary` precomputes what the search's hot path needs of
 its primitives: the shape index (primitives with the same swept cells and arc
 length cost the same from any cell, whatever their headings), each
-primitive's swept-cell bounding box, and, per map width, the swept cells as
-flat index offsets together with the nominal duration.  The search reads
-edges through :meth:`mhplan.search_core.SearchProblem.edges`, which calls
-:func:`evaluate_edge` once per (cell, shape); :func:`successors` is the
-reference enumeration, off the hot path (the oracle and the tests use it).
+primitive's swept-cell bounding box, and, per map width and shape, the swept
+cells as flat index offsets together with the nominal duration.
+
+One kernel, :func:`evaluate_at`, holds the edge-cost formula.  World
+hypotheses agree on most cells, so it walks the swept cells on the primary
+map alone and replicates the cost, unless a :func:`divergence_mask` marks
+some swept cell as differing between the maps; only then does it cost the
+edge on each map.  The search fills its edge table through it (see
+:meth:`mhplan.search_core.SearchProblem.edges`), once per (cell, shape);
+:func:`evaluate_edge` is the public per-edge wrapper, and :func:`successors`
+the reference enumeration, both off the hot path (the oracle and the tests
+use them).
 
 ``Pose`` and ``EdgeEvaluation`` are named tuples: they hash, order and print
 like the equivalent frozen records, and are cheap to create on the search's
@@ -27,7 +34,9 @@ hot path.  As tuples they also compare equal to plain tuples of their fields.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .costmap import CostMap, HypothesisStack
@@ -155,19 +164,19 @@ class PrimitiveLibrary:
                      for p in prims)
             for h, prims in self.by_heading.items()
         }
-        self._geometry: dict[int, dict[int, tuple]] = {}
+        self._geometry: dict[int, tuple[tuple[tuple[int, ...], float], ...]] = {}
 
-    def geometry(self, width: int
-                 ) -> dict[int, tuple[MotionPrimitive, tuple[int, ...], float]]:
-        """Per primitive id, the primitive, its swept cells as offsets of the
-        flat cell index ``y * width + x``, and its nominal duration; cached
-        per map width."""
+    def geometry(self, width: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """Per shape, the swept cells as offsets of the flat cell index
+        ``y * width + x`` and the nominal duration; cached per map width."""
         geo = self._geometry.get(width)
         if geo is None:
-            geo = self._geometry[width] = {
-                p.id: (p, tuple(oy * width + ox for ox, oy in p.swept), self.duration(p))
-                for p in self.prims
-            }
+            first: dict[int, MotionPrimitive] = {}
+            for p in self.prims:
+                first.setdefault(self.shape[p.id], p)
+            geo = self._geometry[width] = tuple(
+                (tuple(oy * width + ox for ox, oy in p.swept), self.duration(p))
+                for _, p in sorted(first.items()))
         return geo
 
     def duration(self, prim: MotionPrimitive) -> float:
@@ -249,6 +258,110 @@ class EdgeEvaluation(NamedTuple):
         return all(self.valid)
 
 
+# The interned all-valid tuple of each hypothesis count: most evaluations
+# share it.
+_ALL_VALID: dict[int, tuple[bool, ...]] = {}
+
+
+def _all_valid(n: int) -> tuple[bool, ...]:
+    valid = _ALL_VALID.get(n)
+    if valid is None:
+        valid = _ALL_VALID[n] = (True,) * n
+    return valid
+
+
+def divergence_mask(maps: tuple[CostMap, ...]) -> bytearray | None:
+    """Per cell of ``maps[0]``'s layout, 1 where some map differs from the
+    primary in value or in lethality, else 0; None when no cell differs (a
+    single map, or identical ones).
+
+    Cells of equal value differ in lethality only between maps of different
+    ``lethal_threshold``, so only those compare their lethal masks.
+    """
+    if len(maps) == 1:
+        return None
+    primary = maps[0]
+    cells = primary.cells
+    cell_ids = range(len(cells))
+    mask = bytearray(len(cells))
+    for cmap in maps[1:]:
+        for i in compress(cell_ids, map(operator.ne, cmap.cells, cells)):
+            mask[i] = 1
+        if cmap.lethal_threshold != primary.lethal_threshold:
+            for i in compress(cell_ids, map(operator.ne, cmap.lethal_mask,
+                                            primary.lethal_mask)):
+                mask[i] = 1
+    return mask if any(mask) else None
+
+
+def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,
+                maps: tuple[CostMap, ...], divergence) -> EdgeEvaluation | None:
+    """The edge sweeping the flat cells ``base + offset``, of nominal duration
+    ``nominal``, against every map of ``maps``; None when it is invalid in
+    every one.
+
+    ``divergence`` is the :func:`divergence_mask` of ``maps`` (None when they
+    agree on every cell), or any object whose item is true for each cell the
+    maps may differ on.  While no swept cell diverges, the edge is costed on
+    the primary map alone: a lethal cell there is lethal in every map, and
+    the cost, summed from the same values in the same order, is the one every
+    map would give.  Otherwise it is costed on each map.  The evaluation's
+    ``valid`` is the interned all-valid tuple wherever the edge is valid in
+    every map.
+    """
+    factor = SOFT_FACTOR
+    k = len(offsets)
+    primary = maps[0]
+    cells = primary.cells
+    thr = primary.lethal_threshold
+    total = 0.0
+    for off in offsets:
+        idx = base + off
+        if divergence is not None and divergence[idx]:
+            break
+        v = cells[idx]
+        if v >= thr:
+            return None
+        total += factor[v]
+    else:
+        n = len(maps)
+        valid = _ALL_VALID.get(n) or _all_valid(n)
+        return tuple.__new__(EdgeEvaluation, (valid, (nominal * (total / k),) * n))
+    swept = [base + off for off in offsets]
+    valid = []
+    cost = []
+    for cmap in maps:
+        cells = cmap.cells
+        thr = cmap.lethal_threshold
+        total = 0.0
+        for idx in swept:
+            v = cells[idx]
+            if v >= thr:
+                valid.append(False)
+                cost.append(None)
+                break
+            total += factor[v]
+        else:
+            valid.append(True)
+            cost.append(nominal * (total / k))
+    if True not in valid:
+        return None
+    valid = tuple(valid) if False in valid else _all_valid(len(valid))
+    return tuple.__new__(EdgeEvaluation, (valid, tuple(cost)))
+
+
+class _EveryCell:
+    """Divergence of maps never compared: any cell may differ."""
+
+    __slots__ = ()
+
+    def __getitem__(self, idx: int) -> bool:
+        return True
+
+
+_EVERY_CELL = _EveryCell()
+
+
 def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
                   lib: PrimitiveLibrary) -> EdgeEvaluation:
     """Check and cost one edge against every hypothesis in the stack.
@@ -256,34 +369,27 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
     Only the pose's cell and the primitive's shape matter, so primitives that
     share a shape (see :class:`PrimitiveLibrary`) give equal evaluations.  A
     primitive of ``lib`` reads its offsets and duration from
-    :meth:`PrimitiveLibrary.geometry`; any other is costed from its own fields.
+    :meth:`PrimitiveLibrary.geometry`; any other is costed from its own
+    fields.  An edge that leaves the map is invalid in every hypothesis, as
+    in :meth:`Trajectory.collision_free`.  The cost comes from
+    :func:`evaluate_at`.
     """
     width = stack.width
-    geo = lib.geometry(width).get(prim.id)
-    if geo is not None and geo[0] is prim:
-        _, offsets, nominal = geo
+    height = stack.height
+    n = stack.n
+    for ox, oy in prim.swept:
+        if not (0 <= pose.x + ox < width and 0 <= pose.y + oy < height):
+            return EdgeEvaluation((False,) * n, (None,) * n)
+    if lib._by_id.get(prim.id) is prim:
+        offsets, nominal = lib.geometry(width)[lib.shape[prim.id]]
     else:
         offsets = tuple(oy * width + ox for ox, oy in prim.swept)
         nominal = lib.duration(prim)
-    k = len(offsets)
-    base = pose.y * width + pose.x
-    swept = [base + off for off in offsets]
-    valid: list[bool] = []
-    cost: list[float | None] = []
-    factor = SOFT_FACTOR
-    for cmap in stack.maps:
-        cells = cmap.cells
-        mask = cmap.lethal_mask
-        total = 0.0
-        ok = True
-        for idx in swept:
-            if mask[idx]:
-                ok = False
-                break
-            total += factor[cells[idx]]
-        valid.append(ok)
-        cost.append(nominal * (total / k) if ok else None)
-    return EdgeEvaluation(tuple(valid), tuple(cost))
+    ev = evaluate_at(pose.y * width + pose.x, offsets, nominal, stack.maps,
+                     None if n == 1 else _EVERY_CELL)
+    if ev is None:
+        return EdgeEvaluation((False,) * n, (None,) * n)
+    return ev
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def _single_policy(engine, node, prim, ev, dst):
 
 def _veh_policy(engine, node, prim, ev, dst):
     """Require validity in every hypothesis; average the per-hypothesis tallies."""
-    if not ev.valid_in_all:
+    if False in ev.valid:
         return None
     hyp_g = tuple(map(operator.add, node.hyp_g, ev.cost))
     return (histories.average_edge_cost(hyp_g), hyp_g, node.pending, None)

@@ -35,6 +35,8 @@ from .lattice import (
     Pose,
     PrimitiveLibrary,
     Trajectory,
+    divergence_mask,
+    evaluate_at,
     evaluate_edge,
 )
 
@@ -62,6 +64,11 @@ class AnytimeConfig:
     goal_tolerance: float = 0.0
 
     def __post_init__(self):
+        # A non-finite inflation never reaches the final one (inf - step is
+        # inf) or turns f-values into NaN, and the search never returns.
+        for name in ("initial_inflation", "inflation_step", "final_inflation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', ' ')} must be finite")
         if self.final_inflation < 1.0:
             raise ValueError("final inflation must be at least 1.0")
         if self.initial_inflation < self.final_inflation:
@@ -70,7 +77,7 @@ class AnytimeConfig:
             raise ValueError("inflation step must be positive")
         if not self.time_budget > 0.0:
             raise ValueError("time budget must be positive (math.inf for unlimited)")
-        if self.goal_tolerance < 0.0:
+        if not self.goal_tolerance >= 0.0:
             raise ValueError("goal tolerance must be non-negative")
 
 
@@ -212,10 +219,12 @@ class SearchProblem:
     of that shape (see :class:`~mhplan.lattice.PrimitiveLibrary`) from that
     cell, or ``None`` when the edge is invalid in every hypothesis.  Poses at
     one cell share the entries of the shapes their headings have in common.
-    It is filled lazily through :func:`~mhplan.lattice.evaluate_edge`, so the
-    edge-cost formula stays in one place.  The table holds nothing that
-    depends on the start or goal, so problems over the same stack may share
-    one by passing ``table``; it lives as long as its problems do.
+    It is filled lazily through :func:`~mhplan.lattice.evaluate_at`, the one
+    edge-cost kernel, against the stack's divergence mask
+    (:func:`~mhplan.lattice.divergence_mask`), built once per problem and
+    None for a single map.  The table holds nothing that depends on the
+    start or goal, so problems over the same stack may share one by passing
+    ``table``; it lives as long as its problems do.
     """
 
     def __init__(self, stack: HypothesisStack, lib: PrimitiveLibrary, start: Pose, goal: Pose,
@@ -230,6 +239,8 @@ class SearchProblem:
         self.start = start
         self.goal = goal
         self.table: dict[int, EdgeEvaluation | None] = {} if table is None else table
+        self.divergence = divergence_mask(stack.maps)
+        self._geometry = lib.geometry(stack.width)
 
     def evaluate(self, pose: Pose, prim: MotionPrimitive) -> EdgeEvaluation:
         """One edge against every hypothesis of the stack (not cached; off the
@@ -248,7 +259,8 @@ class SearchProblem:
         width = stack.width
         height = stack.height
         lib = self.lib
-        base = (y * width + x) * lib.n_shapes
+        cell = y * width + x
+        base = cell * lib.n_shapes
         table = self.table
         # Pose(...) without the named tuple's Python-level __new__, which
         # costs about 5% of open-field plan time;
@@ -261,10 +273,9 @@ class SearchProblem:
                 continue
             ev = table.get(base + shape, _MISSING)
             if ev is _MISSING:
-                ev = evaluate_edge(pose, prim, stack, lib)
-                if not ev.valid_in_any:
-                    ev = None
-                table[base + shape] = ev
+                offsets, nominal = self._geometry[shape]
+                ev = table[base + shape] = evaluate_at(cell, offsets, nominal, stack.maps,
+                                                       self.divergence)
             if ev is not None:
                 row.append((prim, new(Pose, (x + prim.dx, y + prim.dy, prim.end_heading)), ev))
         return tuple(row)

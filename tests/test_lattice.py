@@ -141,8 +141,10 @@ def test_library_shapes_bounding_boxes_and_geometry():
             assert (x_lo, y_lo, x_hi, y_hi) == (min(xs), min(ys), max(xs), max(ys))
     geo = lib.geometry(7)
     assert lib.geometry(7) is geo and lib.geometry(9) is not geo
+    assert len(geo) == lib.n_shapes
     for p in lib.prims:
-        assert geo[p.id] == (p, tuple(oy * 7 + ox for ox, oy in p.swept), lib.duration(p))
+        assert geo[lib.shape[p.id]] == (tuple(oy * 7 + ox for ox, oy in p.swept),
+                                        lib.duration(p))
 
 
 def test_evaluate_edge_costs_foreign_primitives_from_their_own_fields():

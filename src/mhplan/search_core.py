@@ -240,7 +240,10 @@ class SearchProblem:
         self.goal = goal
         self.table: dict[int, EdgeEvaluation | None] = {} if table is None else table
         self.divergence = divergence_mask(stack.maps)
-        self._geometry = lib.geometry(stack.width)
+        # What edges() reads on every call, fetched once (the stack's width
+        # and height are properties).
+        self._fill = (stack.width, stack.height, lib.n_shapes, lib.moves,
+                      lib.geometry(stack.width), stack.maps)
 
     def evaluate(self, pose: Pose, prim: MotionPrimitive) -> EdgeEvaluation:
         """One edge against every hypothesis of the stack (not cached; off the
@@ -255,12 +258,9 @@ class SearchProblem:
         the table.
         """
         x, y, heading = pose
-        stack = self.stack
-        width = stack.width
-        height = stack.height
-        lib = self.lib
+        width, height, n_shapes, moves, geometry, maps = self._fill
         cell = y * width + x
-        base = cell * lib.n_shapes
+        base = cell * n_shapes
         table = self.table
         # Pose(...) without the named tuple's Python-level __new__, which
         # costs about 5% of open-field plan time;
@@ -268,13 +268,13 @@ class SearchProblem:
         # result against successors()' Pose for every pose.
         new = tuple.__new__
         row = []
-        for prim, shape, x_lo, y_lo, x_hi, y_hi in lib.moves[heading]:
+        for prim, shape, x_lo, y_lo, x_hi, y_hi in moves[heading]:
             if x + x_lo < 0 or x + x_hi >= width or y + y_lo < 0 or y + y_hi >= height:
                 continue
             ev = table.get(base + shape, _MISSING)
             if ev is _MISSING:
-                offsets, nominal = self._geometry[shape]
-                ev = table[base + shape] = evaluate_at(cell, offsets, nominal, stack.maps,
+                offsets, nominal = geometry[shape]
+                ev = table[base + shape] = evaluate_at(cell, offsets, nominal, maps,
                                                        self.divergence)
             if ev is not None:
                 row.append((prim, new(Pose, (x + prim.dx, y + prim.dy, prim.end_heading)), ev))

@@ -89,6 +89,15 @@ def test_unknown_scenario_is_reported(capsys):
     assert capsys.readouterr().err.startswith("mhplan: ")
 
 
+def test_non_finite_inflation_is_rejected(capsys):
+    # An infinite inflation never steps down to the final one; the config
+    # refuses it before any search starts.
+    rc = main(["plan", "fig3", "--modes", "SH", "--budget", "30", "--inflation", "inf"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mhplan: ") and "initial inflation must be finite" in err
+
+
 def test_suite_runs_directory(tmp_path, capsys):
     write_scenario(tmp_path, "a", "fig3", ("SH",))
     write_scenario(tmp_path, "b", "clutter{size=12,n=2}", ("VEH",))

@@ -257,6 +257,24 @@ def test_evaluate_edge_per_hypothesis_validity():
     assert ev.valid_in_any and not ev.valid_in_all
 
 
+def test_evaluate_edge_off_the_map_is_invalid_everywhere():
+    # Flat cell indices must not wrap across rows: east from the last column
+    # would read the next row's first cell, west from the first column the
+    # previous row's last cell, and south from the bottom row runs past the
+    # end of the cells.
+    lib = default_library()
+    free = CostMap(4, 3, 1.0, (0,) * 12)
+    east, west, south = (lib.by_heading[h][0] for h in (0, 4, 6))
+    for stack in (HypothesisStack((free,)), HypothesisStack((free, free.with_cells({(1, 1): 9})))):
+        n = stack.n
+        for pose, prim in ((Pose(3, 1, 0), east), (Pose(0, 1, 4), west), (Pose(1, 2, 6), south)):
+            ev = evaluate_edge(pose, prim, stack, lib)
+            assert ev == EdgeEvaluation((False,) * n, (None,) * n)
+        # The same primitives stay valid where they stay on the map.
+        for pose, prim in ((Pose(2, 1, 0), east), (Pose(1, 1, 4), west), (Pose(1, 1, 6), south)):
+            assert evaluate_edge(pose, prim, stack, lib).valid == (True,) * n
+
+
 def test_diagonal_sweep_blocks_side_cells():
     # A diagonal move must not slip between diagonally touching obstacles.
     lib = default_library()

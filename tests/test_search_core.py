@@ -5,8 +5,8 @@ import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack
 from mhplan.lattice import (SOFT_FACTOR, EdgeEvaluation, MotionPrimitive, Pose,
-                            PrimitiveLibrary, default_library, evaluate_edge,
-                            successors, supercover_offsets)
+                            PrimitiveLibrary, default_library, evaluate_at,
+                            evaluate_edge, successors, supercover_offsets)
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import plan_sh
 from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable,
@@ -58,11 +58,11 @@ def test_heuristic_admissible_on_random_instances():
 # -- edge table --------------------------------------------------------------
 
 
-def _soft_lethal_stack(w, h):
-    """Three hypotheses, each with every soft value 0-253 and with cells at
+def _soft_lethal_stack(w, h, n=3):
+    """``n`` hypotheses, each with every soft value 0-253 and with cells at
     the lethal threshold (254), some shared and some not."""
     maps = []
-    for m in range(3):
+    for m in range(n):
         cells, soft = [], 0
         for i in range(w * h):
             if i % 9 == m or i % 23 == 0:
@@ -92,33 +92,128 @@ def _shape_sharing_library():
 
 def test_edge_table_matches_successors_and_evaluate_edge():
     # Every pose is checked, the border ones included, with the default
-    # library and with one whose shared shapes end at different headings.  A
-    # row holds, as tuples in ascending primitive id, the on-map edges valid
-    # in some hypothesis; the edges of one shape from one cell share one
-    # evaluation, whatever the pose's heading.
+    # library and with one whose shared shapes end at different headings,
+    # on stacks of one to five maps (one whose second map is the primary
+    # again, so no cell diverges).  A row holds, as tuples in ascending
+    # primitive id, the on-map edges valid in some hypothesis; the edges of
+    # one shape from one cell share one evaluation, whatever the pose's
+    # heading.
     w = h = 18
-    stack = _soft_lethal_stack(w, h)
-    for lib in (LIB, _shape_sharing_library()):
-        problem = SearchProblem(stack, lib, Pose(0, 0, 0), Pose(w - 1, h - 1, 0))
-        on_map = kept = 0
-        for x in range(w):
-            for y in range(h):
-                by_shape = {}
-                for heading in range(8):
-                    pose = Pose(x, y, heading)
-                    expect = [(p, d, evaluate_edge(pose, p, stack, lib))
-                              for p, d in successors(pose, lib, w, h)]
-                    on_map += len(expect)
-                    expect = tuple(e for e in expect if e[2].valid_in_any)
-                    row = problem.edges(pose)
-                    assert type(row) is tuple and row == expect
-                    assert problem.edges(pose) == row
-                    for prim, dst, ev in row:
-                        assert type(dst) is Pose
-                        assert by_shape.setdefault(lib.shape[prim.id], ev) is ev
-                    kept += len(row)
-        assert 0 < kept < on_map < w * h * len(lib)
+    primary = _soft_lethal_stack(w, h, 1).primary
+    stacks = [_soft_lethal_stack(w, h, n) for n in (1, 2, 3, 5)]
+    stacks.append(HypothesisStack((primary, primary)))
+    for stack in stacks:
+        for lib in (LIB, _shape_sharing_library()):
+            problem = SearchProblem(stack, lib, Pose(0, 0, 0), Pose(w - 1, h - 1, 0))
+            on_map = kept = 0
+            for x in range(w):
+                for y in range(h):
+                    by_shape = {}
+                    for heading in range(8):
+                        pose = Pose(x, y, heading)
+                        expect = [(p, d, evaluate_edge(pose, p, stack, lib))
+                                  for p, d in successors(pose, lib, w, h)]
+                        on_map += len(expect)
+                        expect = tuple(e for e in expect if e[2].valid_in_any)
+                        row = problem.edges(pose)
+                        assert type(row) is tuple and row == expect
+                        assert problem.edges(pose) == row
+                        for prim, dst, ev in row:
+                            assert type(dst) is Pose
+                            assert by_shape.setdefault(lib.shape[prim.id], ev) is ev
+                        kept += len(row)
+            assert 0 < kept < on_map < w * h * len(lib)
     assert SOFT_FACTOR == tuple(1.0 + v / 255.0 for v in range(256))
+
+
+def _reference_evaluation(cell, offsets, nominal, maps):
+    """The per-map edge-cost formula, map by map: validity against the lethal
+    mask and the nominal duration times the mean soft-cost factor."""
+    valid, cost = [], []
+    for cmap in maps:
+        total = 0.0
+        ok = True
+        for off in offsets:
+            idx = cell + off
+            if cmap.lethal_mask[idx]:
+                ok = False
+                break
+            total += 1.0 + cmap.cells[idx] / 255.0
+        valid.append(ok)
+        cost.append(nominal * (total / len(offsets)) if ok else None)
+    return tuple(valid), tuple(cost)
+
+
+def _diverging_stack(rng, w, h, n):
+    """A primary map and ``n - 1`` others: copies with some cells changed,
+    copies under another lethal threshold, or the primary itself."""
+    values = (0, 1, 17, 100, 149, 150, 199, 200, 253, 254, 255)
+    primary = CostMap(w, h, 1.0, tuple(rng.choice(values) if rng.random() < 0.6
+                                       else rng.randrange(256) for _ in range(w * h)))
+    maps = [primary]
+    for _ in range(n - 1):
+        kind = rng.randrange(4)
+        if kind == 0:
+            maps.append(primary)
+            continue
+        cells = list(primary.cells)
+        for _ in range(rng.randrange(1, w * h // 4)):
+            cells[rng.randrange(w * h)] = rng.choice(values)
+        threshold = rng.choice((150, 200, 255)) if kind >= 2 else primary.lethal_threshold
+        if kind == 3:
+            cells = primary.cells  # same values, another threshold
+        maps.append(CostMap(w, h, 1.0, tuple(cells), threshold))
+    return HypothesisStack(tuple(maps))
+
+
+def test_edge_kernel_matches_per_map_formula_bit_for_bit():
+    # Every (cell, shape) of seeded stacks of one to five maps, the kernel
+    # against the per-map formula it replaces, costs compared by repr.  The
+    # stacks hold cells that diverge in value, maps whose lethal threshold
+    # differs from the primary's, and edges invalid in some or every map;
+    # the table holds None for the latter.
+    rng = random.Random(6)
+    seen = {"all": 0, "some": 0, "none": 0, "no_divergence": 0, "threshold": 0}
+    for lib in (LIB, _shape_sharing_library()):
+        for n in range(1, 6):
+            for _ in range(4):
+                w, h = rng.randrange(5, 10), rng.randrange(5, 10)
+                stack = _diverging_stack(rng, w, h, n)
+                maps = stack.maps
+                problem = SearchProblem(stack, lib, Pose(0, 0, 0), Pose(0, 0, 0))
+                seen["no_divergence"] += problem.divergence is None
+                seen["threshold"] += any(m.lethal_threshold != maps[0].lethal_threshold
+                                         for m in maps)
+                shapes = {}
+                for p in lib.prims:
+                    shapes.setdefault(lib.shape[p.id], p)
+                for x in range(w):
+                    for y in range(h):
+                        for shape, prim in shapes.items():
+                            if not all(0 <= x + ox < w and 0 <= y + oy < h
+                                       for ox, oy in prim.swept):
+                                continue
+                            cell = y * w + x
+                            offsets, nominal = lib.geometry(w)[shape]
+                            valid, cost = _reference_evaluation(cell, offsets, nominal, maps)
+                            ev = evaluate_at(cell, offsets, nominal, maps, problem.divergence)
+                            wrapped = evaluate_edge(Pose(x, y, prim.start_heading), prim,
+                                                    stack, lib)
+                            assert repr(wrapped.valid) == repr(valid)
+                            assert repr(wrapped.cost) == repr(cost)
+                            problem.edges(Pose(x, y, prim.start_heading))
+                            entry = problem.table[cell * lib.n_shapes + shape]
+                            if True not in valid:
+                                seen["none"] += 1
+                                assert ev is None and entry is None
+                                continue
+                            seen["all" if False not in valid else "some"] += 1
+                            assert type(ev) is EdgeEvaluation and entry == ev
+                            assert repr(ev.valid) == repr(valid)
+                            assert repr(ev.cost) == repr(cost)
+                            if False not in valid:
+                                assert ev.valid is wrapped.valid is entry.valid
+    assert min(seen.values()) > 0, seen
 
 
 def test_edge_table_shares_one_evaluation_across_headings():
@@ -158,6 +253,17 @@ def test_anytime_config_validation():
         AnytimeConfig(goal_tolerance=-1.0)
     with pytest.raises(ValueError):
         AnytimeConfig(final_inflation=0.9)
+    # Non-finite inflation values and a NaN tolerance are rejected: with
+    # final_inflation=nan or initial_inflation=inf a search never returns,
+    # and NaN initial or step values were silently accepted.
+    nan, inf = math.nan, math.inf
+    for bad in (dict(final_inflation=nan), dict(initial_inflation=inf),
+                dict(initial_inflation=nan), dict(inflation_step=nan),
+                dict(inflation_step=inf), dict(final_inflation=inf, initial_inflation=inf),
+                dict(goal_tolerance=nan)):
+        with pytest.raises(ValueError):
+            AnytimeConfig(**bad)
+    AnytimeConfig(time_budget=inf, goal_tolerance=inf)  # unlimited values stay valid
 
 
 def test_virtual_clock_ticks_per_expansion():

@@ -45,11 +45,6 @@ from .planners import (
     PlannerMode,
     graph_revision,
     plan,
-    plan_geh,
-    plan_gegrh,
-    plan_peh,
-    plan_sh,
-    plan_veh,
     reroute,
 )
 from .render import emit_overlay, svg_overlay

@@ -1,10 +1,14 @@
 """Planner modes over hypothesis stacks.
 
-All five modes run the same anytime engine and differ only in the edge
-admission rule and the goal handling:
+All five modes run the same anytime engine.  They differ only in the stack
+view the search plans on, the edge admission policy, the goal handling and
+the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
+:func:`plan` is the one place where those are chosen:
 
 * ``SH``    plans against the primary map alone.
-* ``VEH``   admits edges valid in every hypothesis, averaging their costs.
+* ``VEH``   admits edges valid in every hypothesis, averaging their costs.  A
+            start or goal that is unreachable in the intersection of free
+            space resolves to a no-plan result rather than an error.
 * ``PEH``   admits edges valid in at least one hypothesis and immediately
             repairs each diverged hypothesis with a rerouted detour, averaging
             direct and detour costs into the search cost.
@@ -16,7 +20,13 @@ admission rule and the goal handling:
 * ``GEGRH`` is GEH plus graph revision: after a goal-edge update the candidate
             is rewired past the earliest divergence point and that stale
             subtree is dropped, concentrating further effort where the world
-            hypotheses actually disagree.
+            hypotheses actually disagree.  Each distinct (goal candidate,
+            divergence node) pair is revised at most once, which bounds the
+            revision loop.
+
+Each nested detour search gets ``DEFAULT_REROUTE_FRACTION`` of the outer
+search's remaining budget.  A diverged secondary hypothesis that cannot reach
+the goal is charged ``DEFAULT_REROUTE_PENALTY`` times the goal edge.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ from .search_core import (
     RevisionEvent,
     SearchProblem,
     SearchTrace,
-    STATUS_NO_PLAN,
 )
 
 DEFAULT_REROUTE_FRACTION = 0.10
@@ -141,7 +150,7 @@ def _peh_goal_hook(engine, node):
     return DROP if node.pending[0] else ACCEPT
 
 
-def _make_goal_update_hook(rerouter: "Rerouter", penalty_factor: float, revise: bool):
+def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
     revision_guard: set[tuple[int, int]] = set()
 
     def hook(engine, node):
@@ -168,7 +177,7 @@ def _make_goal_update_hook(rerouter: "Rerouter", penalty_factor: float, revise: 
             if traj is None:
                 if h == 0:
                     return DROP  # primary trajectory cannot be realized
-                terms.append(penalty_factor * goal_edge)
+                terms.append(DEFAULT_REROUTE_PENALTY * goal_edge)
             else:
                 terms.append(traj.duration)
                 hyp_g[h] = anchor.hyp_g[h] + traj.duration
@@ -279,13 +288,9 @@ class Rerouter:
     """
 
     def __init__(self, stack: HypothesisStack, lib: PrimitiveLibrary,
-                 fraction: float = DEFAULT_REROUTE_FRACTION,
                  trace: SearchTrace | None = None):
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("reroute budget fraction must be in (0, 1]")
         self.stack = stack
         self.lib = lib
-        self.fraction = fraction
         self.trace = trace
         self.memo: dict[tuple[Pose, tuple[int, int], int], Trajectory | None] = {}
         self._tables: dict[int, dict] = {}
@@ -299,7 +304,8 @@ class Rerouter:
         result = None
         if not cmap.is_lethal(*target_cell) and not cmap.is_lethal(anchor.x, anchor.y):
             remaining = engine.remaining_budget()
-            budget = math.inf if math.isinf(remaining) else self.fraction * remaining
+            budget = (math.inf if math.isinf(remaining)
+                      else DEFAULT_REROUTE_FRACTION * remaining)
             if budget > 0.0:
                 engine.reroutes += 1
                 result = reroute(
@@ -337,93 +343,36 @@ def reroute(from_pose: Pose, to_pose, hypothesis_index: int, stack: HypothesisSt
     return result.trajectory
 
 
-# -- planner entry points ----------------------------------------------------
-
-
-def plan_sh(stack: HypothesisStack, start: Pose, goal: Pose,
-            cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
-            clock=None, trace: SearchTrace | None = None) -> PlanResult:
-    """Plan against the primary hypothesis only."""
-    cfg = cfg or AnytimeConfig()
-    lib = lib or shared_default_library(stack.resolution)
-    problem = SearchProblem(stack.single(0), lib, start, goal)
-    return AnytimeSearch(problem, cfg, _single_policy, None, clock, trace).run()
-
-
-def plan_veh(stack: HypothesisStack, start: Pose, goal: Pose,
-             cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
-             clock=None, trace: SearchTrace | None = None) -> PlanResult:
-    """Plan with edges required to be valid in every hypothesis.
-
-    A start or goal that is unreachable in the intersection of free space
-    resolves to a no-plan result rather than an error.
-    """
-    cfg = cfg or AnytimeConfig()
-    lib = lib or shared_default_library(stack.resolution)
-    problem = SearchProblem(stack, lib, start, goal)
-    return AnytimeSearch(problem, cfg, _veh_policy, None, clock, trace).run()
-
-
-def plan_peh(stack: HypothesisStack, start: Pose, goal: Pose,
-             cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
-             clock=None, trace: SearchTrace | None = None,
-             reroute_fraction: float = DEFAULT_REROUTE_FRACTION) -> PlanResult:
-    """Plan with per-expansion rerouting of diverged hypotheses."""
-    cfg = cfg or AnytimeConfig()
-    lib = lib or shared_default_library(stack.resolution)
-    problem = SearchProblem(stack, lib, start, goal)
-    rerouter = Rerouter(stack, lib, reroute_fraction, trace)
-    policy = _make_peh_policy(rerouter)
-    # Scalar-g duplicate detection would let an equal-g node with a worse
-    # per-hypothesis history shadow a clean path, so keep incomparable
-    # histories side by side.
-    return AnytimeSearch(problem, cfg, policy, _peh_goal_hook, clock, trace,
-                         frontier=HistoryFrontier()).run()
-
-
-def plan_geh(stack: HypothesisStack, start: Pose, goal: Pose,
-             cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
-             clock=None, trace: SearchTrace | None = None,
-             reroute_fraction: float = DEFAULT_REROUTE_FRACTION,
-             reroute_penalty: float = DEFAULT_REROUTE_PENALTY) -> PlanResult:
-    """Plan with goal-edge rerouting of diverged hypotheses."""
-    cfg = cfg or AnytimeConfig()
-    lib = lib or shared_default_library(stack.resolution)
-    problem = SearchProblem(stack, lib, start, goal)
-    rerouter = Rerouter(stack, lib, reroute_fraction, trace)
-    hook = _make_goal_update_hook(rerouter, reroute_penalty, revise=False)
-    return AnytimeSearch(problem, cfg, _geh_policy, hook, clock, trace).run()
-
-
-def plan_gegrh(stack: HypothesisStack, start: Pose, goal: Pose,
-               cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
-               clock=None, trace: SearchTrace | None = None,
-               reroute_fraction: float = DEFAULT_REROUTE_FRACTION,
-               reroute_penalty: float = DEFAULT_REROUTE_PENALTY) -> PlanResult:
-    """Plan with goal-edge rerouting plus graph revision.
-
-    Each distinct (goal candidate, divergence node) pair is revised at most
-    once, which bounds the revision loop.
-    """
-    cfg = cfg or AnytimeConfig()
-    lib = lib or shared_default_library(stack.resolution)
-    problem = SearchProblem(stack, lib, start, goal)
-    rerouter = Rerouter(stack, lib, reroute_fraction, trace)
-    hook = _make_goal_update_hook(rerouter, reroute_penalty, revise=True)
-    return AnytimeSearch(problem, cfg, _geh_policy, hook, clock, trace).run()
-
-
-_PLANNERS = {
-    PlannerMode.SH: plan_sh,
-    PlannerMode.VEH: plan_veh,
-    PlannerMode.PEH: plan_peh,
-    PlannerMode.GEH: plan_geh,
-    PlannerMode.GEGRH: plan_gegrh,
-}
+# -- planner entry point -----------------------------------------------------
 
 
 def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
-         cfg: AnytimeConfig | None = None, **kwargs) -> PlanResult:
-    """Dispatch to a planner by mode name or :class:`PlannerMode`."""
+         cfg: AnytimeConfig | None = None, *, lib: PrimitiveLibrary | None = None,
+         clock=None, trace: SearchTrace | None = None) -> PlanResult:
+    """Plan from ``start`` to ``goal`` with a mode name or :class:`PlannerMode`.
+
+    ``cfg`` defaults to :class:`AnytimeConfig`, ``lib`` to the shared default
+    library at the stack's resolution and ``clock`` to a fresh
+    :class:`~mhplan.search_core.VirtualClock`; ``trace`` records the search.
+    """
     mode = PlannerMode(mode)
-    return _PLANNERS[mode](stack, start, goal, cfg, **kwargs)
+    cfg = cfg or AnytimeConfig()
+    lib = lib or shared_default_library(stack.resolution)
+    view, hook, frontier = stack, None, None
+    if mode is PlannerMode.SH:
+        view, policy = stack.single(0), _single_policy
+    elif mode is PlannerMode.VEH:
+        policy = _veh_policy
+    else:
+        rerouter = Rerouter(stack, lib, trace)
+        if mode is PlannerMode.PEH:
+            policy, hook = _make_peh_policy(rerouter), _peh_goal_hook
+            # Scalar-g duplicate detection would let an equal-g node with a
+            # worse per-hypothesis history shadow a clean path, so keep
+            # incomparable histories side by side.
+            frontier = HistoryFrontier()
+        else:
+            policy = _geh_policy
+            hook = _make_goal_update_hook(rerouter, revise=mode is PlannerMode.GEGRH)
+    problem = SearchProblem(view, lib, start, goal)
+    return AnytimeSearch(problem, cfg, policy, hook, clock, trace, frontier=frontier).run()

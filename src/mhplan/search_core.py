@@ -99,6 +99,10 @@ class VirtualClock:
     """
 
     def __init__(self, tick: float = 5e-5):
+        # A NaN tick never reaches any budget and an infinite one exhausts
+        # every budget after one expansion.
+        if not math.isfinite(tick):
+            raise ValueError("tick must be finite")
         if tick <= 0.0:
             raise ValueError("tick must be positive")
         self.tick = tick

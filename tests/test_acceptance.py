@@ -20,8 +20,7 @@ from mhplan.harness import (builtin_scenario, clutter_endpoints,
 from mhplan.histories import REROUTED
 from mhplan.lattice import Pose, default_library
 from mhplan.oracle import dijkstra_reference, veh_reference
-from mhplan.planners import (MODES, plan, plan_gegrh, plan_peh, plan_sh,
-                             plan_veh)
+from mhplan.planners import MODES, plan
 from mhplan.render import emit_overlay
 from mhplan.search_core import AnytimeConfig, SearchTrace, VirtualClock
 
@@ -90,8 +89,8 @@ def test_criterion_1_oracle_equivalence():
         for _ in range(1000):
             cmap, start, goal = rand_instance(rng)
             ref = dijkstra_reference(cmap, LIB, start, goal)
-            res = plan_sh(HypothesisStack((cmap,)), start, goal, OPTIMAL,
-                          clock=VirtualClock())
+            res = plan("SH", HypothesisStack((cmap,)), start, goal, OPTIMAL,
+                       clock=VirtualClock())
             assert (res.status == "solved") == ref.reachable
             if ref.reachable:
                 assert res.cost == ref.optimal_cost  # exact, same edge model
@@ -146,8 +145,8 @@ def test_criterion_4_bridging_node_average():
         sc = builtin_scenario("fig3")
         stack = sc.source.resolve()
         tr = SearchTrace()
-        res = plan_peh(stack, sc.start, sc.goal, OPTIMAL,
-                       clock=VirtualClock(), trace=tr)
+        res = plan("PEH", stack, sc.start, sc.goal, OPTIMAL,
+                   clock=VirtualClock(), trace=tr)
         assert res.status == "solved"
         bridges = [n for n in tr.nodes.values()
                    if n.pose.cell() == (6, 5) and n.parent is not None
@@ -186,8 +185,8 @@ def test_criterion_5_peh_never_beaten_by_veh():
             ref = veh_reference(stack, LIB, start, goal)
             if not ref.reachable:
                 continue
-            veh = plan_veh(stack, start, goal, OPTIMAL, clock=VirtualClock())
-            peh = plan_peh(stack, start, goal, OPTIMAL, clock=VirtualClock())
+            veh = plan("VEH", stack, start, goal, OPTIMAL, clock=VirtualClock())
+            peh = plan("PEH", stack, start, goal, OPTIMAL, clock=VirtualClock())
             assert veh.status == "solved"
             assert veh.cost == ref.optimal_cost
             assert peh.status == "solved"
@@ -213,8 +212,8 @@ def test_criterion_6_revision_soundness_and_termination():
         total_revisions = 0
         for case_index, (stack, start, goal) in enumerate(wall_cases()):
             tr = SearchTrace()
-            res = plan_gegrh(stack, start, goal, OPTIMAL,
-                             clock=VirtualClock(), trace=tr)
+            res = plan("GEGRH", stack, start, goal, OPTIMAL,
+                       clock=VirtualClock(), trace=tr)
             assert res.status == "solved"
             if case_index == 0:
                 assert tr.revisions
@@ -241,8 +240,8 @@ def test_criterion_6_revision_soundness_and_termination():
         assert total_revisions >= 1
         for stack, start, goal in clutter_instances():
             tr = SearchTrace()
-            res = plan_gegrh(stack, start, goal, DEFAULT,
-                             clock=VirtualClock(), trace=tr)
+            res = plan("GEGRH", stack, start, goal, DEFAULT,
+                       clock=VirtualClock(), trace=tr)
             assert res.status in ("solved", "timeout-with-incumbent",
                                   "no-plan")
             pairs = [(ev.goal_nid, ev.divergence_nid) for ev in tr.revisions]
@@ -307,10 +306,10 @@ def test_criterion_8_sealed_goal():
                     "the primary"):
         sc = builtin_scenario("seal")
         stack = sc.source.resolve()
-        veh = plan_veh(stack, sc.start, sc.goal, OPTIMAL, clock=VirtualClock())
+        veh = plan("VEH", stack, sc.start, sc.goal, OPTIMAL, clock=VirtualClock())
         assert veh.status == "no-plan"
-        gegrh = plan_gegrh(stack, sc.start, sc.goal, OPTIMAL,
-                           clock=VirtualClock())
+        gegrh = plan("GEGRH", stack, sc.start, sc.goal, OPTIMAL,
+                     clock=VirtualClock())
         assert gegrh.status == "solved"
         assert gegrh.trajectory.collision_free(stack.primary, LIB)
 

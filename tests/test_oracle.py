@@ -7,7 +7,7 @@ from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_clutter
 from mhplan.lattice import Pose, default_library
 from mhplan.oracle import (MAX_ORACLE_DIM, OracleSizeError, dijkstra_reference,
                            veh_reference)
-from mhplan.planners import plan_veh
+from mhplan.planners import plan
 from mhplan.search_core import AnytimeConfig
 
 LIB = default_library()
@@ -83,7 +83,7 @@ def test_planner_matches_veh_oracle():
         stack = gen_clutter(9, 9, seed, 0.15, 2, 1, keep_free=((1, 1), (7, 7)))
         start, goal = Pose(1, 1, rng.randrange(8)), Pose(7, 7, rng.randrange(8))
         ref = veh_reference(stack, LIB, start, goal)
-        res = plan_veh(stack, start, goal, cfg)
+        res = plan("VEH", stack, start, goal, cfg)
         if ref.reachable:
             assert res.status == "solved"
             assert res.cost == pytest.approx(ref.optimal_cost, abs=1e-9)

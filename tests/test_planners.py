@@ -12,8 +12,7 @@ from mhplan.harness import clutter_endpoints
 from mhplan.histories import DIRECT, REROUTED, record_expansion, records
 from mhplan.lattice import Pose, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference
-from mhplan.planners import (MODES, PlannerMode, Rerouter, plan, plan_geh,
-                             plan_gegrh, plan_peh, plan_sh, plan_veh, reroute)
+from mhplan.planners import MODES, PlannerMode, Rerouter, plan, reroute
 from mhplan.search_core import (AnytimeConfig, PlanningInputError, SearchProblem, SearchTrace,
                                 VirtualClock)
 
@@ -50,21 +49,21 @@ def cells_of(result):
 
 
 def test_case1_sh_cuts_through_contested_cell():
-    res = plan_sh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+    res = plan("SH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
     assert res.status == "solved"
     assert res.cost == 6.0
     assert cells_of(res) == DIRECT_CELLS
 
 
 def test_case1_veh_detours():
-    res = plan_veh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+    res = plan("VEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
     assert res.status == "solved"
     assert res.cost == 6.5
     assert cells_of(res) == DETOUR_CELLS
 
 
 def test_case1_peh_matches_veh_via_repairs():
-    res = plan_peh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+    res = plan("PEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
     assert res.status == "solved"
     assert res.cost == 6.5
     assert cells_of(res) == DETOUR_CELLS
@@ -75,7 +74,7 @@ def test_case1_geh_pays_for_late_reconciliation():
     # The averaged goal edge keeps the direct plan but prices in the detour
     # of the disagreeing hypothesis, and the equal-g detour candidate stays
     # shadowed behind the already-closed direct history.
-    res = plan_geh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+    res = plan("GEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
     assert res.status == "solved"
     assert res.cost == 8.5
     assert res.duration == 6.0
@@ -84,8 +83,8 @@ def test_case1_geh_pays_for_late_reconciliation():
 
 def test_case1_revision_recovers_the_consistent_plan():
     tr_geh, tr_rev = SearchTrace(), SearchTrace()
-    geh = plan_geh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr_geh)
-    rev = plan_gegrh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr_rev)
+    geh = plan("GEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr_geh)
+    rev = plan("GEGRH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr_rev)
     assert rev.status == "solved"
     assert rev.cost == 6.5
     assert cells_of(rev) == DETOUR_CELLS
@@ -97,7 +96,7 @@ def test_case1_revision_recovers_the_consistent_plan():
 
 def test_case1_goal_updates_average_their_terms():
     tr = SearchTrace()
-    plan_geh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
+    plan("GEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
     assert tr.goal_updates
     for _nid, terms, new_edge in tr.goal_updates:
         assert len(terms) >= 2  # direct goal edge plus one term per pending hyp
@@ -106,7 +105,7 @@ def test_case1_goal_updates_average_their_terms():
 
 def test_case1_peh_g_is_mean_of_tallies():
     tr = SearchTrace()
-    plan_peh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
+    plan("PEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
     repaired = 0
     for node in tr.nodes.values():
         assert node.g == pytest.approx(fmean(node.hyp_g))
@@ -122,9 +121,9 @@ def test_case1_peh_g_is_mean_of_tallies():
 
 
 def test_case2_mode_spread():
-    sh = plan_sh(CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
-    veh = plan_veh(CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
-    geh = plan_geh(CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
+    sh = plan("SH", CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
+    veh = plan("VEH", CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
+    geh = plan("GEH", CASE2, CASE2_START, CASE2_GOAL, UNLIMITED)
     assert sh.cost == 14.0
     assert veh.cost == 19.0  # forced around the wall in every hypothesis
     assert veh.trajectory.collision_free(CASE2.maps[0], LIB)
@@ -135,7 +134,7 @@ def test_case2_mode_spread():
 
 def test_case2_revision_event_is_sound():
     tr = SearchTrace()
-    res = plan_gegrh(CASE2, CASE2_START, CASE2_GOAL, UNLIMITED, trace=tr)
+    res = plan("GEGRH", CASE2, CASE2_START, CASE2_GOAL, UNLIMITED, trace=tr)
     assert res.status == "solved"
     assert len(tr.revisions) == 1
     ev = tr.revisions[0]
@@ -166,12 +165,12 @@ def test_case2_revision_event_is_sound():
 def test_sealed_goal_behaviour():
     stack = sealed_goal_stack()
     start, goal = Pose(2, 8, 0), Pose(12, 8, 0)
-    assert plan_veh(stack, start, goal, UNLIMITED).status == "no-plan"
-    sh = plan_sh(stack, start, goal, UNLIMITED)
-    peh = plan_peh(stack, start, goal, UNLIMITED)
+    assert plan("VEH", stack, start, goal, UNLIMITED).status == "no-plan"
+    sh = plan("SH", stack, start, goal, UNLIMITED)
+    peh = plan("PEH", stack, start, goal, UNLIMITED)
     assert sh.cost == peh.cost == 10.0
-    for res in (plan_geh(stack, start, goal, UNLIMITED),
-                plan_gegrh(stack, start, goal, UNLIMITED)):
+    for res in (plan("GEH", stack, start, goal, UNLIMITED),
+                plan("GEGRH", stack, start, goal, UNLIMITED)):
         assert res.status == "solved"
         assert res.duration == 10.0
         # Unreachable secondary charged at triple the goal edge: (10+12)/2 - 9.
@@ -199,16 +198,18 @@ def test_every_solved_plan_is_safe_in_primary():
 
 
 def test_single_hypothesis_collapses_every_mode():
+    # On one map nothing is ever pending, so every mode is SH: the same
+    # status, cost, virtual planning time, expansions, reroutes (none), final
+    # inflation and trajectory, under unlimited and finite budgets alike.
+    configs = (GREEDY_FREE, AnytimeConfig(), AnytimeConfig(time_budget=2e-3))
     for seed in range(6):
         stack = gen_clutter(10, 10, seed, 0.18, 1, 0, keep_free=((1, 1), (8, 8)))
         start, goal = Pose(1, 1, 0), Pose(8, 8, 0)
-        ref = plan_sh(stack, start, goal, GREEDY_FREE)
-        for mode in MODES:
-            res = plan(mode, stack, start, goal, GREEDY_FREE)
-            assert res.status == ref.status, (seed, mode)
-            assert res.cost == ref.cost, (seed, mode)
-            if ref.trajectory is not None:
-                assert cells_of(res) == cells_of(ref), (seed, mode)
+        for cfg in configs:
+            ref = plan("SH", stack, start, goal, cfg)
+            assert ref.reroutes == 0
+            for mode in MODES:
+                assert plan(mode, stack, start, goal, cfg) == ref, (seed, mode, cfg)
 
 
 def test_identical_hypotheses_collapse_every_mode():
@@ -216,7 +217,7 @@ def test_identical_hypotheses_collapse_every_mode():
         base = gen_clutter(10, 10, seed, 0.18, 1, 0, keep_free=((1, 1), (8, 8)))
         twin = HypothesisStack((base.primary, base.primary))
         start, goal = Pose(1, 1, 0), Pose(8, 8, 0)
-        ref = plan_sh(twin, start, goal, GREEDY_FREE)
+        ref = plan("SH", twin, start, goal, GREEDY_FREE)
         for mode in MODES:
             res = plan(mode, twin, start, goal, GREEDY_FREE)
             assert res.status == ref.status, (seed, mode)
@@ -245,10 +246,10 @@ def test_peh_never_beaten_by_veh():
     for seed in range(40):
         stack = gen_clutter(10, 10, seed, 0.15, 2, 1, keep_free=((1, 1), (8, 8)))
         start, goal = Pose(1, 1, 0), Pose(8, 8, 0)
-        veh = plan_veh(stack, start, goal, GREEDY_FREE)
+        veh = plan("VEH", stack, start, goal, GREEDY_FREE)
         if veh.status != "solved":
             continue
-        peh = plan_peh(stack, start, goal, GREEDY_FREE)
+        peh = plan("PEH", stack, start, goal, GREEDY_FREE)
         assert peh.status == "solved", seed
         assert peh.cost <= veh.cost + 1e-9, seed
 
@@ -342,7 +343,7 @@ def test_collector_stays_paused_across_nested_reroutes(monkeypatch):
 
     monkeypatch.setattr(planners, "_make_goal_update_hook", spying_hook_factory)
     with collector(True):
-        res = plan_geh(CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
+        res = plan("GEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED)
         assert gc.isenabled()
     assert res.reroutes > 0
     assert seen and not any(seen)
@@ -429,8 +430,29 @@ def test_rerouter_skips_lethal_targets():
     assert engine.reroutes == 0
 
 
-def test_rerouter_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        Rerouter(CASE1, LIB, fraction=0.0)
-    with pytest.raises(ValueError):
-        Rerouter(CASE1, LIB, fraction=1.5)
+@pytest.mark.parametrize("mode", ["PEH", "GEH"])
+@pytest.mark.parametrize("time_budget", [1.0, 2e-3, math.inf])
+def test_nested_reroutes_get_a_fixed_share_of_the_remaining_budget(monkeypatch, mode,
+                                                                   time_budget):
+    engines, budgets = [], []
+    rerouter_reroute, nested_reroute = planners.Rerouter.reroute, planners.reroute
+
+    def remember_engine(self, engine, *args):
+        engines.append(engine)
+        return rerouter_reroute(self, engine, *args)
+
+    def record_budget(*args, budget, **kwargs):
+        budgets.append((budget, engines[-1].remaining_budget()))
+        return nested_reroute(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(planners.Rerouter, "reroute", remember_engine)
+    monkeypatch.setattr(planners, "reroute", record_budget)
+    cfg = AnytimeConfig(time_budget=time_budget)
+    res = plan(mode, CASE1, CASE1_START, CASE1_GOAL, cfg)
+    assert budgets and res.reroutes == len(budgets)
+    for budget, remaining in budgets:
+        if math.isinf(time_budget):
+            assert budget == math.inf
+        else:
+            assert 0.0 < remaining < time_budget
+            assert budget == planners.DEFAULT_REROUTE_FRACTION * remaining

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 from mhplan.costmap import gen_case1
 from mhplan.lattice import Pose
-from mhplan.planners import plan_gegrh, plan_sh
+from mhplan.planners import plan
 from mhplan.render import CELL_PX, emit_overlay, polyline_points, svg_overlay
 from mhplan.search_core import AnytimeConfig
 
@@ -16,8 +16,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def plans():
-    sh = plan_sh(STACK, START, GOAL, UNLIMITED)
-    rev = plan_gegrh(STACK, START, GOAL, UNLIMITED)
+    sh = plan("SH", STACK, START, GOAL, UNLIMITED)
+    rev = plan("GEGRH", STACK, START, GOAL, UNLIMITED)
     return [("SH", sh.trajectory), ("GEGRH", rev.trajectory)]
 
 

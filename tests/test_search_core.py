@@ -8,7 +8,7 @@ from mhplan.lattice import (SOFT_FACTOR, EdgeEvaluation, MotionPrimitive, Pose,
                             PrimitiveLibrary, default_library, evaluate_at,
                             evaluate_edge, successors, supercover_offsets)
 from mhplan.oracle import dijkstra_reference
-from mhplan.planners import plan_sh
+from mhplan.planners import plan
 from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable,
                                 HistoryFrontier, OpenList, PlanningInputError,
                                 SearchNode, SearchProblem, SearchTrace,
@@ -274,6 +274,15 @@ def test_virtual_clock_ticks_per_expansion():
     assert clock.now() - t0 == 1.0
 
 
+@pytest.mark.parametrize("tick", [0.0, -1.0, math.nan, math.inf])
+def test_virtual_clock_rejects_bad_ticks(tick):
+    # A NaN tick never reaches a budget (a 1 s GEGRH plan came back solved
+    # with a NaN planning time); an infinite one stops every plan after one
+    # expansion.
+    with pytest.raises(ValueError):
+        VirtualClock(tick=tick)
+
+
 def test_wall_clock_moves_forward():
     clock = WallClock()
     a = clock.now()
@@ -424,7 +433,7 @@ def unlimited(**kw):
 
 def test_straight_line_plan_cost():
     stack = free_stack(10, 10)
-    res = plan_sh(stack, Pose(1, 5, 0), Pose(8, 5, 0), unlimited())
+    res = plan("SH", stack, Pose(1, 5, 0), Pose(8, 5, 0), unlimited())
     assert res.status == "solved"
     assert res.cost == 7.0
     assert [p.cell() for p in res.trajectory.poses] == [(x, 5) for x in range(1, 9)]
@@ -432,7 +441,7 @@ def test_straight_line_plan_cost():
 
 def test_start_equals_goal():
     stack = free_stack(5, 5)
-    res = plan_sh(stack, Pose(2, 2, 3), Pose(2, 2, 3), unlimited())
+    res = plan("SH", stack, Pose(2, 2, 3), Pose(2, 2, 3), unlimited())
     assert res.status == "solved"
     assert res.cost == 0.0
     assert res.trajectory.poses == (Pose(2, 2, 3),)
@@ -442,8 +451,8 @@ def test_start_equals_goal():
 def test_unreachable_goal_is_no_plan():
     wall = {(4, y): 255 for y in range(8)}
     cmap = CostMap(8, 8, 1.0, (0,) * 64).with_cells(wall)
-    res = plan_sh(HypothesisStack((cmap,)), Pose(1, 4, 0), Pose(6, 4, 0),
-                  unlimited())
+    res = plan("SH", HypothesisStack((cmap,)), Pose(1, 4, 0), Pose(6, 4, 0),
+               unlimited())
     assert res.status == "no-plan"
     assert res.trajectory is None and res.cost is None
 
@@ -451,14 +460,14 @@ def test_unreachable_goal_is_no_plan():
 def test_input_validation():
     stack = free_stack(6, 6)
     with pytest.raises(PlanningInputError):
-        plan_sh(stack, Pose(-1, 0, 0), Pose(5, 5, 0), unlimited())
+        plan("SH", stack, Pose(-1, 0, 0), Pose(5, 5, 0), unlimited())
     with pytest.raises(PlanningInputError):
-        plan_sh(stack, Pose(0, 0, 9), Pose(5, 5, 0), unlimited())
+        plan("SH", stack, Pose(0, 0, 9), Pose(5, 5, 0), unlimited())
     lethal = HypothesisStack((CostMap(6, 6, 1.0, (0,) * 36).with_cells({(5, 5): 255}),))
     with pytest.raises(PlanningInputError):
-        plan_sh(lethal, Pose(0, 0, 0), Pose(5, 5, 0), unlimited())
+        plan("SH", lethal, Pose(0, 0, 0), Pose(5, 5, 0), unlimited())
     with pytest.raises(PlanningInputError):
-        plan_sh(lethal, Pose(5, 5, 0), Pose(0, 0, 0), unlimited())
+        plan("SH", lethal, Pose(5, 5, 0), Pose(0, 0, 0), unlimited())
 
 
 def test_matches_oracle_at_inflation_one():
@@ -471,7 +480,7 @@ def test_matches_oracle_at_inflation_one():
         cmap = rand_map(rng, w, h, density=0.18,
                         keep=[start.cell(), goal.cell()])
         ref = dijkstra_reference(cmap, LIB, start, goal)
-        res = plan_sh(HypothesisStack((cmap,)), start, goal, unlimited())
+        res = plan("SH", HypothesisStack((cmap,)), start, goal, unlimited())
         if ref.reachable:
             assert res.status == "solved"
             assert res.cost == ref.optimal_cost  # exact, same edge model
@@ -489,8 +498,8 @@ def test_incumbents_never_worsen_across_rounds():
         start, goal = Pose(1, 1, 0), Pose(12, 12, 0)
         cmap = rand_map(rng, w, h, density=0.22, keep=[start.cell(), goal.cell()])
         trace = SearchTrace()
-        res = plan_sh(HypothesisStack((cmap,)), start, goal,
-                      AnytimeConfig(time_budget=math.inf), trace=trace)
+        res = plan("SH", HypothesisStack((cmap,)), start, goal,
+                   AnytimeConfig(time_budget=math.inf), trace=trace)
         costs = [c for _, c in trace.rounds]
         assert costs == sorted(costs, reverse=True) or \
             all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
@@ -507,13 +516,13 @@ def test_budget_statuses_and_overshoot():
     stack = HypothesisStack((cmap,))
     start, goal = Pose(1, 1, 0), Pose(10, 10, 0)
     tick = 5e-5
-    full = plan_sh(stack, start, goal, AnytimeConfig(time_budget=math.inf))
+    full = plan("SH", stack, start, goal, AnytimeConfig(time_budget=math.inf))
     assert full.status == "solved"
     statuses = set()
     for k in range(2, full.expansions + 2, 3):
         clock = VirtualClock(tick=tick)
-        res = plan_sh(stack, start, goal, AnytimeConfig(time_budget=k * tick),
-                      clock=clock)
+        res = plan("SH", stack, start, goal, AnytimeConfig(time_budget=k * tick),
+                   clock=clock)
         statuses.add(res.status)
         assert res.planning_time <= k * tick + tick + 1e-12
         if res.status == "timeout-with-incumbent":
@@ -530,6 +539,6 @@ def test_deterministic_repeats():
     rng = random.Random(99)
     cmap = rand_map(rng, 14, 14, density=0.25, keep=[(1, 1), (12, 12)])
     stack = HypothesisStack((cmap,))
-    runs = [plan_sh(stack, Pose(1, 1, 0), Pose(12, 12, 0),
-                    AnytimeConfig(time_budget=math.inf)) for _ in range(2)]
+    runs = [plan("SH", stack, Pose(1, 1, 0), Pose(12, 12, 0),
+                 AnytimeConfig(time_budget=math.inf)) for _ in range(2)]
     assert runs[0] == runs[1]

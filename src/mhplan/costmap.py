@@ -32,12 +32,16 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostMap:
-    """Immutable 2D cost grid. ``cells`` is row-major with row 0 at the top."""
+    """Immutable 2D cost grid. ``cells`` is row-major with row 0 at the top.
+
+    Any sequence of ints in [0, 255] is accepted for ``cells`` and stored as
+    ``bytes``, one byte per cell instead of one object pointer.
+    """
 
     width: int
     height: int
     resolution: float
-    cells: tuple[int, ...]
+    cells: bytes
     lethal_threshold: int = DEFAULT_LETHAL
 
     def __post_init__(self):
@@ -51,15 +55,18 @@ class CostMap:
             raise ValueError(
                 f"cell count {len(self.cells)} does not match {self.width}x{self.height}"
             )
-        for i, v in enumerate(self.cells):
-            if not isinstance(v, int) or not 0 <= v <= 255:
-                raise ValueError(f"cell {i % self.width},{i // self.width} value {v!r} outside [0, 255]")
+        if not isinstance(self.cells, bytes):
+            for i, v in enumerate(self.cells):
+                if not isinstance(v, int) or not 0 <= v <= 255:
+                    raise ValueError(
+                        f"cell {i % self.width},{i // self.width} value {v!r} outside [0, 255]")
+            object.__setattr__(self, "cells", bytes(self.cells))
 
     @cached_property
     def lethal_mask(self) -> bytes:
         """Per-cell lethality flags, same layout as ``cells``."""
         thr = self.lethal_threshold
-        return bytes(1 if v >= thr else 0 for v in self.cells)
+        return self.cells.translate(bytes(1 if v >= thr else 0 for v in range(256)))
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -131,7 +138,7 @@ def loads_costmap(text: str, origin: str = "<string>") -> CostMap:
             f"{origin}: cell count mismatch: {len(cells)} values declared for {width}x{height} map"
         )
     try:
-        return CostMap(width, height, resolution, tuple(cells), threshold)
+        return CostMap(width, height, resolution, bytes(cells), threshold)
     except ValueError as exc:
         raise MapFormatError(f"{origin}: {exc}") from exc
 
@@ -188,6 +195,17 @@ class HypothesisStack:
     def resolution(self) -> float:
         return self.maps[0].resolution
 
+    @property
+    def lethal_mask(self) -> bytes:
+        """Per-cell flags, 1 where the cell is lethal in some hypothesis (the
+        primary's cached mask for one map, otherwise built on each access)."""
+        if len(self.maps) == 1:
+            return self.maps[0].lethal_mask
+        bits = 0
+        for cmap in self.maps:
+            bits |= int.from_bytes(cmap.lethal_mask, "little")
+        return bits.to_bytes(len(self.maps[0].cells), "little")
+
     def single(self, index: int) -> "HypothesisStack":
         """One-map view of hypothesis ``index`` (0 gives the primary-only view)."""
         return HypothesisStack((self.maps[index],))
@@ -232,7 +250,7 @@ def load_stack(path: str) -> HypothesisStack:
 
 
 def _free_map(width: int, height: int, resolution: float, threshold: int) -> CostMap:
-    return CostMap(width, height, resolution, (0,) * (width * height), threshold)
+    return CostMap(width, height, resolution, bytes(width * height), threshold)
 
 
 def gen_case1(
@@ -303,7 +321,7 @@ def _render_blobs(
         for x, y in _blob_cells(cx, cy, r):
             if 0 <= x < width and 0 <= y < height:
                 cells[y * width + x] = 255
-    return CostMap(width, height, resolution, tuple(cells), threshold)
+    return CostMap(width, height, resolution, bytes(cells), threshold)
 
 
 def gen_clutter(

@@ -24,6 +24,18 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
             divergence node) pair is revised at most once, which bounds the
             revision loop.
 
+SH and VEH search with a :class:`~mhplan.search_core.CostToGo` heuristic: its
+mask is the primary's lethal cells for SH and the cells lethal in any
+hypothesis for VEH, exactly the cells their policies never let an edge
+sweep, so the bound stays admissible.  On a one-map stack every mode is SH
+and uses SH's field.  PEH, GEH and GEGRH on several maps keep the
+straight-line heuristic: with a field, the scalar-g duplicate detection of
+GEH and GEGRH (``BestGTable``, which can shadow a path intact in the primary
+behind a cheaper broken one) turned a solvable replanning cycle into
+``no-plan``, and PEH's repairs changed.  Nested detour searches keep it too:
+a field per detour spends the detour's small budget share on cells, which
+left more repairs unsolved.
+
 Each nested detour search gets ``DEFAULT_REROUTE_FRACTION`` of the outer
 search's remaining budget.  A diverged secondary hypothesis that cannot reach
 the goal is charged ``DEFAULT_REROUTE_PENALTY`` times the goal edge.
@@ -374,5 +386,9 @@ def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
         else:
             policy = _geh_policy
             hook = _make_goal_update_hook(rerouter, revise=mode is PlannerMode.GEGRH)
-    problem = SearchProblem(view, lib, start, goal)
+    # The cost-to-go field where its mask blocks exactly what the policy
+    # refuses: the primary's lethal cells for SH (and every mode on one map),
+    # lethal in any hypothesis for VEH.
+    mask = view.lethal_mask if mode is PlannerMode.VEH or view.n == 1 else None
+    problem = SearchProblem(view, lib, start, goal, mask=mask)
     return AnytimeSearch(problem, cfg, policy, hook, clock, trace, frontier=frontier).run()

@@ -14,6 +14,15 @@ incoming edge, an object the edge table already holds, and its direct records
 are derived from it when read (:func:`~mhplan.histories.records`), so the
 search builds none.
 
+The heuristic is the straight-line time to the goal region
+(:func:`heuristic`) unless the problem carries a mask of blocked cells; then
+it is a :class:`CostToGo` field over that mask, which also counts obstacles
+and is built backward from the goal only as far as the search's queries need.
+The field charges the clock one tick per cell it closes, as an expansion
+does, so budgets bound the whole plan.  A child from which the field finds
+the goal region unreachable is never pushed.  Which searches get a mask is
+the planners' choice (see :mod:`mhplan.planners`).
+
 A search creates no reference cycles: every node points only at its parent.
 :meth:`AnytimeSearch.run` therefore pauses Python's cyclic garbage collector,
 which would otherwise rescan the growing search tree, and restores it after.
@@ -124,6 +133,133 @@ def heuristic(pose: Pose, goal: Pose, resolution: float = 1.0,
     return d * resolution / nominal_speed
 
 
+class CostToGo:
+    """Lower bound on the time from a cell to the goal region, heading ignored.
+
+    The bound is the cheapest route through a relaxed lattice over cells:
+    from any cell, every shape of the library (see
+    :class:`~mhplan.lattice.PrimitiveLibrary`) may be taken at its nominal
+    duration, unless one of its swept cells is set in the problem's ``mask``.
+    A lattice edge costs at least its nominal duration (every soft-cost
+    factor is at least 1), so wherever the mask covers every cell that blocks
+    the search's edges the bound is admissible and consistent, whatever the
+    map values.
+
+    It is Reverse Resumable A* (Silver, "Cooperative Pathfinding", 2005): a
+    backward A* from every cell of the goal region, guided toward the
+    search's start by the straight-line distance times the least nominal
+    duration per cell of displacement over the shapes (consistent for any
+    library), and resumed only until the queried cell is closed.  Closed
+    cells keep their exact bound; once the open list empties, every cell not
+    closed is unreachable and gets ``inf``.
+
+    Each closed cell costs one clock tick, as an expansion does.  Once the
+    search's budget is spent the field stops resuming and answers with the
+    straight-line bound, without keeping it.  The field holds the problem and
+    the clock, never the search.
+    """
+
+    __slots__ = ("cells_closed", "_known", "_best", "_open", "_moves", "_mask", "_width",
+                 "_height", "_ratio", "_start", "_goal", "_tol", "_clock", "_t0", "_budget")
+
+    def __init__(self, problem: "SearchProblem", goal_tolerance: float, clock, t0: float,
+                 budget: float):
+        lib = problem.lib
+        width, height = problem.stack.width, problem.stack.height
+        geometry = lib.geometry(width)
+        moves = []
+        seen = set()
+        ratio = math.inf
+        for prim in lib.prims:
+            shape = lib.shape[prim.id]
+            if shape in seen or not (prim.dx or prim.dy):
+                continue  # a shape already listed, or a turn in place
+            seen.add(shape)
+            offsets, nominal = geometry[shape]
+            ratio = min(ratio, nominal / math.hypot(prim.dx, prim.dy))
+            # The bounding box of the origin and the swept cells.
+            xs = (0, *(x for x, _ in prim.swept))
+            ys = (0, *(y for _, y in prim.swept))
+            moves.append((prim.dx, prim.dy, prim.dy * width + prim.dx, offsets, nominal,
+                          min(xs), min(ys), max(xs), max(ys)))
+        self._ratio = ratio if moves else 0.0
+        self._moves = tuple(moves)
+        self._mask = problem.mask
+        self._width = width
+        self._height = height
+        self._start = problem.start
+        self._goal = problem.goal
+        self._tol = goal_tolerance
+        self._clock = clock
+        self._t0 = t0
+        self._budget = budget
+        self.cells_closed = 0
+        n_cells = width * height
+        self._known: list[float | None] = [None] * n_cells
+        self._best = [math.inf] * n_cells
+        self._open: list[tuple[float, float, int]] = []
+        gx, gy = self._goal.x, self._goal.y
+        sx, sy = self._start.x, self._start.y
+        r = int(min(goal_tolerance, width + height))
+        for y in range(max(0, gy - r), min(height, gy + r + 1)):
+            for x in range(max(0, gx - r), min(width, gx + r + 1)):
+                if math.hypot(x - gx, y - gy) <= goal_tolerance:
+                    cell = y * width + x
+                    self._known[cell] = self._best[cell] = 0.0
+                    self._open.append((self._ratio * math.hypot(x - sx, y - sy), 0.0, cell))
+        heapq.heapify(self._open)
+
+    def bound(self, pose: Pose) -> float:
+        """The bound at ``pose``'s cell, resuming the backward search if the
+        cell is not closed yet."""
+        x, y, _ = pose
+        cell = y * self._width + x
+        known = self._known[cell]
+        return self._resume(cell) if known is None else known
+
+    def _resume(self, target: int) -> float:
+        """Close cells until ``target`` is closed; its bound, ``inf`` when the
+        goal region is unreachable from it, or the uncached straight-line bound
+        once the budget is spent."""
+        heap, known, best, mask = self._open, self._known, self._best, self._mask
+        width, height, moves = self._width, self._height, self._moves
+        ratio, clock = self._ratio, self._clock
+        sx, sy = self._start.x, self._start.y
+        hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
+        limited = self._budget != math.inf
+        while heap:
+            if limited and clock.now() - self._t0 >= self._budget:
+                ty, tx = divmod(target, width)
+                d = math.hypot(tx - self._goal.x, ty - self._goal.y) - self._tol
+                return ratio * d if d > 0.0 else 0.0
+            _, g, v = pop(heap)
+            if g > best[v]:
+                continue  # superseded entry
+            known[v] = g
+            self.cells_closed += 1
+            clock.on_expansion()
+            vy, vx = divmod(v, width)
+            for dx, dy, step, offsets, nominal, x_lo, y_lo, x_hi, y_hi in moves:
+                ux = vx - dx
+                uy = vy - dy
+                if (ux + x_lo < 0 or ux + x_hi >= width
+                        or uy + y_lo < 0 or uy + y_hi >= height):
+                    continue  # the edge into v would leave the map
+                u = v - step
+                ng = g + nominal
+                if ng >= best[u]:
+                    continue
+                for off in offsets:
+                    if mask[u + off]:
+                        break
+                else:
+                    best[u] = ng
+                    push(heap, (ng + ratio * hypot(ux - sx, uy - sy), ng, u))
+            if v == target:
+                return g
+        return math.inf
+
+
 class SearchNode:
     """One lattice pose reached along one specific parent chain.
 
@@ -229,10 +365,15 @@ class SearchProblem:
     None for a single map.  The table holds nothing that depends on the
     start or goal, so problems over the same stack may share one by passing
     ``table``; it lives as long as its problems do.
+
+    ``mask`` has one byte per cell, nonzero where a cell blocks every edge
+    the search may take through it.  With a mask the search's heuristic is a
+    :class:`CostToGo` field over it; without one, the straight-line
+    :func:`heuristic`.
     """
 
     def __init__(self, stack: HypothesisStack, lib: PrimitiveLibrary, start: Pose, goal: Pose,
-                 table: dict | None = None):
+                 table: dict | None = None, mask: bytes | None = None):
         if lib.resolution is not None and lib.resolution != stack.resolution:
             raise PlanningInputError(
                 f"library resolution {lib.resolution} does not match map resolution "
@@ -243,6 +384,7 @@ class SearchProblem:
         self.start = start
         self.goal = goal
         self.table: dict[int, EdgeEvaluation | None] = {} if table is None else table
+        self.mask = mask
         self.divergence = divergence_mask(stack.maps)
         # What edges() reads on every call, fetched once (the stack's width
         # and height are properties).
@@ -297,6 +439,7 @@ class PlanResult:
     expansions: int
     reroutes: int
     final_inflation: float | None
+    field_cells: int = 0  # cells the CostToGo field closed, one tick each
 
 
 @dataclass
@@ -423,16 +566,18 @@ class AnytimeSearch:
         self._t0: float | None = None
 
         stack = problem.stack
-        self._res = stack.resolution
-        self._speed = problem.lib.nominal_speed
         self._n_hyp = stack.n
         self._goal = problem.goal
         self._tol = cfg.goal_tolerance
+        self.field: CostToGo | None = None  # built when the search starts
+        # h(pose): the straight-line bound, until the search starts with a
+        # mask and swaps in the field's.  A closure over plain values, so the
+        # engine holds no reference to itself.
+        goal, tol = problem.goal, cfg.goal_tolerance
+        res, speed = stack.resolution, problem.lib.nominal_speed
+        self.h = lambda pose: heuristic(pose, goal, res, speed, tol)
 
     # -- plumbing ------------------------------------------------------------
-
-    def h(self, pose: Pose) -> float:
-        return heuristic(pose, self._goal, self._res, self._speed, self._tol)
 
     def in_goal_region(self, pose: Pose) -> bool:
         if self._tol == 0.0:
@@ -446,8 +591,11 @@ class AnytimeSearch:
         return self.cfg.time_budget - self.elapsed()
 
     def new_node(self, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None) -> SearchNode:
-        node = SearchNode(self._next_nid, pose, g, g + self.eps * self.h(pose),
+                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None,
+                 h: float | None = None) -> SearchNode:
+        if h is None:
+            h = self.h(pose)
+        node = SearchNode(self._next_nid, pose, g, g + self.eps * h,
                           parent, prim_id, hyp_g, pending, edges, ev)
         self._next_nid += 1
         if self.trace is not None:
@@ -536,6 +684,10 @@ class AnytimeSearch:
     def _search(self) -> PlanResult:
         self._validate()
         self._t0 = self.clock.now()
+        if self.problem.mask is not None:
+            self.field = CostToGo(self.problem, self._tol, self.clock, self._t0,
+                                  self.cfg.time_budget)
+            self.h = self.field.bound
         n = self._n_hyp
         start = self.new_node(
             self.problem.start, 0.0, None, -1,
@@ -586,6 +738,7 @@ class AnytimeSearch:
             expansions=self.expansions,
             reroutes=self.reroutes,
             final_inflation=self.eps if incumbent_eps is None else incumbent_eps,
+            field_cells=0 if self.field is None else self.field.cells_closed,
         )
 
     def _run_round(self) -> tuple[str, SearchNode | None]:
@@ -609,15 +762,23 @@ class AnytimeSearch:
         self.clock.on_expansion()
         if self.trace is not None:
             self.trace.expansions.append((node.nid, node.pose, node.g))
+        h_of = self.h
+        inf = math.inf
         for prim, dst, ev in self.problem.edges(node.pose):
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
             g_child, hyp_g, pending, edges = spec
             at_goal = self.in_goal_region(dst)
-            if not at_goal and not self.frontier.admits(dst, g_child, hyp_g, pending):
+            if at_goal:
+                h = 0.0
+            elif not self.frontier.admits(dst, g_child, hyp_g, pending):
                 continue
-            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev)
+            else:
+                h = h_of(dst)
+                if h == inf:
+                    continue  # the goal region is unreachable from dst
+            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev, h)
             if not at_goal:
                 self.frontier.record(child)
             self.open.push(child, child.f)

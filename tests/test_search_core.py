@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from mhplan.costmap import CostMap, HypothesisStack
+from mhplan.costmap import CostMap, HypothesisStack, gen_clutter
 from mhplan.lattice import (SOFT_FACTOR, EdgeEvaluation, MotionPrimitive, Pose,
                             PrimitiveLibrary, default_library, evaluate_at,
-                            evaluate_edge, successors, supercover_offsets)
-from mhplan.oracle import dijkstra_reference
+                            evaluate_edge, load_library, save_library, successors,
+                            supercover_offsets)
+from mhplan.oracle import dijkstra_reference, veh_reference
 from mhplan.planners import plan
-from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable,
+from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable, CostToGo,
                                 HistoryFrontier, OpenList, PlanningInputError,
                                 SearchNode, SearchProblem, SearchTrace,
                                 VirtualClock, WallClock, heuristic)
@@ -53,6 +54,138 @@ def test_heuristic_admissible_on_random_instances():
         if not ref.reachable:
             continue
         assert heuristic(start, goal) <= ref.optimal_cost + 1e-9
+
+
+# -- cost-to-go field --------------------------------------------------------
+
+
+def _field(stack, lib, goal, tolerance=0.0, clock=None, budget=math.inf):
+    problem = SearchProblem(stack, lib, Pose(0, 0, 0), goal, mask=stack.lethal_mask)
+    return CostToGo(problem, tolerance, clock or VirtualClock(), 0.0, budget)
+
+
+def _soft_map(rng, w, h, density):
+    return CostMap(w, h, 1.0, tuple(255 if rng.random() < density else rng.randrange(254)
+                                    for _ in range(w * h)))
+
+
+def _hop_library(path):
+    """A non-unit library read from a ``.mhprim`` file: the default unit
+    steps, a two-cell step per heading and a knight hop from every even
+    heading, at arc lengths no float sum makes exact, at speed 1.5."""
+    prims = list(LIB.prims)
+    for heading, (dx, dy) in enumerate(((1, 0), (1, -1), (0, -1), (-1, -1),
+                                        (-1, 0), (-1, 1), (0, 1), (1, 1))):
+        arc = 2.1 if dx == 0 or dy == 0 else 3.05
+        prims.append(MotionPrimitive(len(prims), heading, 2 * dx, 2 * dy, heading, arc,
+                                     supercover_offsets(2 * dx, 2 * dy)))
+        if heading % 2 == 0:
+            kx, ky = (2 * dx - dy, 2 * dy + dx)
+            prims.append(MotionPrimitive(len(prims), heading, kx, ky, heading, 2.3,
+                                         supercover_offsets(kx, ky)))
+    save_library(PrimitiveLibrary(tuple(prims)), str(path))
+    return load_library(str(path), nominal_speed=1.5)
+
+
+def test_cost_to_go_is_a_lower_bound_from_every_pose(tmp_path):
+    # From every pose of small seeded maps with soft values, the field is
+    # never above the exact lattice cost (inf only where the oracle finds
+    # no path), for the default library and a non-unit one.  The last map
+    # of each library is cut in two by a wall.
+    rng = random.Random(5)
+    for lib in (LIB, _hop_library(tmp_path / "hops.mhprim")):
+        checked = unreachable = 0
+        for i in range(4):
+            cmap = _soft_map(rng, 7, 7, 0.15)
+            goal = Pose(rng.choice((0, 1, 2, 4, 5, 6)), rng.randrange(7), 0)
+            cmap = cmap.with_cells({goal.cell(): 0})
+            if i == 3:
+                cmap = cmap.with_cells({(3, y): 255 for y in range(7)})
+            field = _field(HypothesisStack((cmap,)), lib, goal)
+            for x in range(7):
+                for y in range(7):
+                    for heading in range(8):
+                        pose = Pose(x, y, heading)
+                        bound = field.bound(pose)
+                        ref = dijkstra_reference(cmap, lib, pose, goal)
+                        if ref.reachable:
+                            assert bound <= ref.optimal_cost + 1e-9, (pose, goal)
+                            checked += 1
+                        elif bound == math.inf:
+                            unreachable += 1
+        assert checked > 500 and unreachable > 50
+
+
+def test_cost_to_go_over_a_goal_region_is_the_least_over_its_cells():
+    rng = random.Random(9)
+    for tolerance in (1.0, 1.5, 2.5):
+        cmap = _soft_map(rng, 10, 10, 0.2)
+        stack = HypothesisStack((cmap,))
+        goal = Pose(6, 4, 0)
+        region = [(x, y) for x in range(10) for y in range(10)
+                  if math.hypot(x - goal.x, y - goal.y) <= tolerance]
+        fields = [_field(stack, LIB, Pose(x, y, 0)) for x, y in region]
+        wide = _field(stack, LIB, goal, tolerance)
+        for x in range(10):
+            for y in range(10):
+                pose = Pose(x, y, 0)
+                least = min(f.bound(pose) for f in fields)
+                assert wide.bound(pose) == pytest.approx(least, abs=1e-9)
+                if (x, y) in region:
+                    assert wide.bound(pose) == 0.0
+
+
+def test_cost_to_go_charges_the_clock_and_keeps_no_budget_fallback():
+    # A wall with a gap at the bottom between (1, 1) and the goal (8, 1): the
+    # straight line says 7, the field says more.
+    wall = {(4, y): 255 for y in range(9)}
+    cmap = CostMap(10, 10, 1.0, (0,) * 100).with_cells(wall)
+    stack = HypothesisStack((cmap,))
+    clock = VirtualClock(tick=1.0)
+    field = _field(stack, LIB, Pose(8, 1, 0), clock=clock, budget=100.0)
+    clock.t = 95.0
+    assert field.bound(Pose(1, 1, 0)) == 7.0  # straight line once 5 cells are closed
+    assert field.cells_closed == 5 and clock.now() == 100.0
+    clock.t = 0.0  # budget again: the fallback was not kept
+    assert field.bound(Pose(1, 1, 0)) == 20.5  # down through the gap and back
+    assert field.cells_closed == 5 + clock.now()
+    spent = clock.now()
+    assert field.bound(Pose(1, 1, 0)) == 20.5 and clock.now() == spent
+
+
+def test_plan_ticks_count_expansions_and_field_cells():
+    start, goal = Pose(1, 1, 0), Pose(20, 20, 0)
+    tick = 5e-5
+    for seed in range(3):
+        stack = gen_clutter(22, 22, seed, 0.15, 3, 1, keep_free=(start.cell(), goal.cell()))
+        for mode in ("SH", "VEH", "PEH", "GEH", "GEGRH"):
+            res = plan(mode, stack, start, goal, AnytimeConfig(time_budget=math.inf),
+                       clock=VirtualClock(tick))
+            if mode in ("SH", "VEH"):
+                assert res.field_cells > 0
+                assert round(res.planning_time / tick) == res.expansions + res.field_cells
+            else:
+                assert res.field_cells == 0  # straight line on several maps
+
+
+def test_soft_map_plans_match_the_oracles():
+    # The field's nominal costs stay below the soft costs the search pays,
+    # so SH and VEH still end on the optimum under the anytime schedule.
+    rng = random.Random(17)
+    for _ in range(12):
+        maps = tuple(_soft_map(rng, 9, 9, 0.12).with_cells({(1, 1): 0, (7, 7): 0})
+                     for _ in range(2))
+        stack = HypothesisStack(maps)
+        start, goal = Pose(1, 1, rng.randrange(8)), Pose(7, 7, rng.randrange(8))
+        cfg = AnytimeConfig(time_budget=math.inf)
+        for mode, ref in (("SH", dijkstra_reference(maps[0], LIB, start, goal)),
+                          ("VEH", veh_reference(stack, LIB, start, goal))):
+            res = plan(mode, stack, start, goal, cfg)
+            if ref.reachable:
+                assert res.status == "solved"
+                assert res.cost == pytest.approx(ref.optimal_cost, abs=1e-9)
+            else:
+                assert res.status == "no-plan"
 
 
 # -- edge table --------------------------------------------------------------
@@ -455,6 +588,8 @@ def test_unreachable_goal_is_no_plan():
                unlimited())
     assert res.status == "no-plan"
     assert res.trajectory is None and res.cost is None
+    # The start's cost-to-go is inf, so none of its children is pushed.
+    assert res.expansions == 1
 
 
 def test_input_validation():
@@ -519,7 +654,9 @@ def test_budget_statuses_and_overshoot():
     full = plan("SH", stack, start, goal, AnytimeConfig(time_budget=math.inf))
     assert full.status == "solved"
     statuses = set()
-    for k in range(2, full.expansions + 2, 3):
+    # The clock charges expansions and cells closed by the cost-to-go field
+    # alike, so the sweep runs to the full run's tick count.
+    for k in range(2, round(full.planning_time / tick) + 3, 3):
         clock = VirtualClock(tick=tick)
         res = plan("SH", stack, start, goal, AnytimeConfig(time_budget=k * tick),
                    clock=clock)

@@ -13,8 +13,11 @@ bit-identical to the formula.
 A :class:`PrimitiveLibrary` precomputes what the search's hot path needs of
 its primitives: the shape index (primitives with the same swept cells and arc
 length cost the same from any cell, whatever their headings), each
-primitive's swept-cell bounding box, and, per map width and shape, the swept
-cells as flat index offsets together with the nominal duration.
+primitive's swept-cell bounding box; per map width and shape, the swept
+cells as flat index offsets together with the nominal duration; and, per map
+size, which cells each shape's edge leaves the map from and the
+obstacle-free time of every displacement (the cost-to-go field's blocked
+cells and guide, see :class:`mhplan.search_core.CostToGo`).
 
 One kernel, :func:`evaluate_at`, holds the edge-cost formula.  World
 hypotheses agree on most cells, so it walks the swept cells on the primary
@@ -33,10 +36,9 @@ hot path.  As tuples they also compare equal to plain tuples of their fields.
 
 from __future__ import annotations
 
+import heapq
 import math
-import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 from .costmap import CostMap, HypothesisStack
@@ -55,6 +57,9 @@ DIAGONAL_ARC = 1.5
 
 # Soft-cost factor of each cell value, indexed by the value.
 SOFT_FACTOR = tuple(1.0 + v / 255.0 for v in range(256))
+
+# A bytes.translate table that maps every nonzero byte to 1.
+NONZERO = bytes(min(v, 1) for v in range(256))
 
 
 class LibraryFormatError(ValueError):
@@ -165,6 +170,8 @@ class PrimitiveLibrary:
             for h, prims in self.by_heading.items()
         }
         self._geometry: dict[int, tuple[tuple[tuple[int, ...], float], ...]] = {}
+        self._off_map: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        self._free_costs: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def geometry(self, width: int) -> tuple[tuple[tuple[int, ...], float], ...]:
         """Per shape, the swept cells as offsets of the flat cell index
@@ -178,6 +185,72 @@ class PrimitiveLibrary:
                 (tuple(oy * width + ox for ox, oy in p.swept), self.duration(p))
                 for _, p in sorted(first.items()))
         return geo
+
+    def off_map(self, width: int, height: int) -> tuple[bytes, ...]:
+        """Per shape, one byte per cell of a ``width`` x ``height`` map
+        (flat index ``y * width + x``), 1 where the edge of that shape from
+        the cell leaves the map, else 0; cached per map size."""
+        key = (width, height)
+        patterns = self._off_map.get(key)
+        if patterns is None:
+            boxes: dict[int, tuple[int, int, int, int]] = {}
+            for moves in self.moves.values():
+                for _prim, shape, x_lo, y_lo, x_hi, y_hi in moves:
+                    boxes.setdefault(shape, (x_lo, y_lo, x_hi, y_hi))
+            out = []
+            for shape in range(self.n_shapes):
+                x_lo, y_lo, x_hi, y_hi = boxes[shape]
+                row = bytes(not (0 <= x + x_lo and x + x_hi < width) for x in range(width))
+                off = b"\x01" * width
+                out.append(b"".join(row if 0 <= y + y_lo and y + y_hi < height else off
+                                    for y in range(height)))
+            patterns = self._off_map[key] = tuple(out)
+        return patterns
+
+    def free_costs(self, width: int, height: int) -> tuple[float, ...]:
+        """Least nominal duration of a chain of shapes, heading ignored, that
+        moves by ``(dx, dy)`` while every partial sum keeps ``|dx| < width``
+        and ``|dy| < height``: the obstacle-free time between two cells of a
+        ``width`` x ``height`` map (``inf`` where no chain exists).
+
+        Indexed by ``(dy + height - 1) * (2 * width - 1) + dx + width - 1``;
+        0 at ``(0, 0)``.  Exact shortest distances over the displacement
+        graph, so consistent for any library: each entry is at most the
+        entry one shape back plus that shape's duration.  Cached per map
+        size.
+        """
+        key = (width, height)
+        costs = self._free_costs.get(key)
+        if costs is None:
+            span = 2 * width - 1
+            steps: dict[tuple[int, int], float] = {}
+            for p in self.prims:
+                if p.dx or p.dy:
+                    d = self.duration(p)
+                    steps[p.dx, p.dy] = min(d, steps.get((p.dx, p.dy), d))
+            moves = [(dx, dy, dy * span + dx, d) for (dx, dy), d in sorted(steps.items())]
+            x_max, y_max = width - 1, height - 1
+            origin = y_max * span + x_max
+            best = [math.inf] * (span * (2 * height - 1))
+            best[origin] = 0.0
+            heap = [(0.0, origin)]
+            pop, push = heapq.heappop, heapq.heappush
+            while heap:
+                g, v = pop(heap)
+                if g > best[v]:
+                    continue  # superseded entry
+                vy, vx = divmod(v, span)
+                vx -= x_max
+                vy -= y_max
+                for dx, dy, step, d in moves:
+                    if -x_max <= vx + dx <= x_max and -y_max <= vy + dy <= y_max:
+                        ng = g + d
+                        u = v + step
+                        if ng < best[u]:
+                            best[u] = ng
+                            push(heap, (ng, u))
+            costs = self._free_costs[key] = tuple(best)
+        return costs
 
     def duration(self, prim: MotionPrimitive) -> float:
         """Nominal (free-space) execution time of a primitive, in seconds."""
@@ -270,28 +343,29 @@ def _all_valid(n: int) -> tuple[bool, ...]:
     return valid
 
 
-def divergence_mask(maps: tuple[CostMap, ...]) -> bytearray | None:
+def divergence_mask(maps: tuple[CostMap, ...]) -> bytes | None:
     """Per cell of ``maps[0]``'s layout, 1 where some map differs from the
     primary in value or in lethality, else 0; None when no cell differs (a
     single map, or identical ones).
 
-    Cells of equal value differ in lethality only between maps of different
-    ``lethal_threshold``, so only those compare their lethal masks.
+    The maps' cells are compared as big integers: the XOR of two maps is
+    nonzero exactly in the bytes of the cells they differ on.  Cells of
+    equal value differ in lethality only between maps of different
+    ``lethal_threshold``, so only those XOR their lethal masks too.
     """
     if len(maps) == 1:
         return None
     primary = maps[0]
-    cells = primary.cells
-    cell_ids = range(len(cells))
-    mask = bytearray(len(cells))
+    cells = int.from_bytes(primary.cells, "little")
+    diff = 0
     for cmap in maps[1:]:
-        for i in compress(cell_ids, map(operator.ne, cmap.cells, cells)):
-            mask[i] = 1
+        diff |= cells ^ int.from_bytes(cmap.cells, "little")
         if cmap.lethal_threshold != primary.lethal_threshold:
-            for i in compress(cell_ids, map(operator.ne, cmap.lethal_mask,
-                                            primary.lethal_mask)):
-                mask[i] = 1
-    return mask if any(mask) else None
+            diff |= (int.from_bytes(primary.lethal_mask, "little")
+                     ^ int.from_bytes(cmap.lethal_mask, "little"))
+    if not diff:
+        return None
+    return diff.to_bytes(len(primary.cells), "little").translate(NONZERO)
 
 
 def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,

@@ -18,10 +18,13 @@ The heuristic is the straight-line time to the goal region
 (:func:`heuristic`) unless the problem carries a mask of blocked cells; then
 it is a :class:`CostToGo` field over that mask, which also counts obstacles
 and is built backward from the goal only as far as the search's queries need.
-The field charges the clock one tick per cell it closes, as an expansion
-does, so budgets bound the whole plan.  A child from which the field finds
-the goal region unreachable is never pushed.  Which searches get a mask is
-the planners' choice (see :mod:`mhplan.planners`).
+It reads which edges are blocked from one byte per (cell, shape) and aims
+at the start with the library's cached obstacle-free times, so closing a
+cell costs a few lookups per shape.  The field charges the clock one tick
+per cell it closes, as an expansion does, so budgets bound the whole plan.
+A child from which the field finds the goal region unreachable is never
+pushed.  Which searches get a mask is the planners' choice (see
+:mod:`mhplan.planners`).
 
 A search creates no reference cycles: every node points only at its parent.
 :meth:`AnytimeSearch.run` therefore pauses Python's cyclic garbage collector,
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 from . import histories
 from .costmap import HypothesisStack
 from .lattice import (
+    NONZERO,
     EdgeEvaluation,
     MotionPrimitive,
     Pose,
@@ -133,40 +137,77 @@ def heuristic(pose: Pose, goal: Pose, resolution: float = 1.0,
     return d * resolution / nominal_speed
 
 
+def blocked_origins(mask: bytes, lib: PrimitiveLibrary, width: int,
+                    height: int) -> tuple[bytes, ...]:
+    """Per shape of ``lib``, one byte per cell of a ``width`` x ``height``
+    map, 1 where the edge of that shape from the cell leaves the map or
+    sweeps a cell set in ``mask``, else 0.
+
+    The mask is read as one little-endian integer, so shifting it right by
+    ``8 * offset`` bits puts the byte of cell ``c + offset`` at cell ``c``.
+    OR-ing one shift per swept offset marks every origin whose sweep meets a
+    masked cell.  A shift also carries cells across row ends, but exactly at
+    the origins whose edge leaves the map, which the shape's
+    :meth:`~mhplan.lattice.PrimitiveLibrary.off_map` pattern sets anyway.
+    """
+    n = width * height
+    bits = int.from_bytes(mask, "little")
+    keep = (1 << 8 * n) - 1
+    out = []
+    for (offsets, _nominal), off_map in zip(lib.geometry(width), lib.off_map(width, height)):
+        blocked = int.from_bytes(off_map, "little")
+        for off in offsets:
+            blocked |= bits >> 8 * off if off >= 0 else bits << -8 * off
+        out.append((blocked & keep).to_bytes(n, "little").translate(NONZERO))
+    return tuple(out)
+
+
 class CostToGo:
     """Lower bound on the time from a cell to the goal region, heading ignored.
 
     The bound is the cheapest route through a relaxed lattice over cells:
     from any cell, every shape of the library (see
     :class:`~mhplan.lattice.PrimitiveLibrary`) may be taken at its nominal
-    duration, unless one of its swept cells is set in the problem's ``mask``.
-    A lattice edge costs at least its nominal duration (every soft-cost
-    factor is at least 1), so wherever the mask covers every cell that blocks
-    the search's edges the bound is admissible and consistent, whatever the
-    map values.
+    duration, unless its edge leaves the map or one of its swept cells is
+    set in the problem's ``mask``.  A lattice edge costs at least its
+    nominal duration (every soft-cost factor is at least 1), so wherever the
+    mask covers every cell that blocks the search's edges the bound is
+    admissible and consistent, whatever the map values.
 
     It is Reverse Resumable A* (Silver, "Cooperative Pathfinding", 2005): a
-    backward A* from every cell of the goal region, guided toward the
-    search's start by the straight-line distance times the least nominal
-    duration per cell of displacement over the shapes (consistent for any
-    library), and resumed only until the queried cell is closed.  Closed
-    cells keep their exact bound; once the open list empties, every cell not
-    closed is unreachable and gets ``inf``.
+    backward A* from every cell of the goal region, resumed only until the
+    queried cell is closed.  Its guide toward the search's start is the
+    library's obstacle-free time of the displacement
+    (:meth:`~mhplan.lattice.PrimitiveLibrary.free_costs`), exact and so
+    consistent for any library.  Closed cells keep their exact bound; once
+    the open list empties, every cell not closed is unreachable and gets
+    ``inf``.  The edges that may enter a cell are read from one byte per
+    (origin cell, shape), built once per field (:func:`blocked_origins`).
 
     Each closed cell costs one clock tick, as an expansion does.  Once the
     search's budget is spent the field stops resuming and answers with the
-    straight-line bound, without keeping it.  The field holds the problem and
-    the clock, never the search.
+    straight-line bound (distance times the least nominal duration per cell
+    of displacement over the shapes), without keeping it.  The field holds
+    the problem's constants and the clock, never the search.
     """
 
-    __slots__ = ("cells_closed", "_known", "_best", "_open", "_moves", "_mask", "_width",
-                 "_height", "_ratio", "_start", "_goal", "_tol", "_clock", "_t0", "_budget")
+    __slots__ = ("cells_closed", "_known", "_best", "_open", "_moves", "_width", "_guide",
+                 "_guide_base", "_span", "_ratio", "_goal", "_tol", "_clock", "_t0",
+                 "_budget")
 
     def __init__(self, problem: "SearchProblem", goal_tolerance: float, clock, t0: float,
                  budget: float):
         lib = problem.lib
         width, height = problem.stack.width, problem.stack.height
         geometry = lib.geometry(width)
+        blocked = blocked_origins(problem.mask, lib, width, height)
+        # The guide of cell (x, y) is guide[y * span + x + guide_base]: the
+        # free-space time of its displacement from the start.
+        span = 2 * width - 1
+        start = problem.start
+        self._guide = lib.free_costs(width, height)
+        self._guide_base = (height - 1 - start.y) * span + width - 1 - start.x
+        self._span = span
         moves = []
         seen = set()
         ratio = math.inf
@@ -175,19 +216,13 @@ class CostToGo:
             if shape in seen or not (prim.dx or prim.dy):
                 continue  # a shape already listed, or a turn in place
             seen.add(shape)
-            offsets, nominal = geometry[shape]
+            nominal = geometry[shape][1]
             ratio = min(ratio, nominal / math.hypot(prim.dx, prim.dy))
-            # The bounding box of the origin and the swept cells.
-            xs = (0, *(x for x, _ in prim.swept))
-            ys = (0, *(y for _, y in prim.swept))
-            moves.append((prim.dx, prim.dy, prim.dy * width + prim.dx, offsets, nominal,
-                          min(xs), min(ys), max(xs), max(ys)))
+            moves.append((prim.dy * width + prim.dx, prim.dy * span + prim.dx, nominal,
+                          blocked[shape]))
         self._ratio = ratio if moves else 0.0
         self._moves = tuple(moves)
-        self._mask = problem.mask
         self._width = width
-        self._height = height
-        self._start = problem.start
         self._goal = problem.goal
         self._tol = goal_tolerance
         self._clock = clock
@@ -199,14 +234,13 @@ class CostToGo:
         self._best = [math.inf] * n_cells
         self._open: list[tuple[float, float, int]] = []
         gx, gy = self._goal.x, self._goal.y
-        sx, sy = self._start.x, self._start.y
         r = int(min(goal_tolerance, width + height))
         for y in range(max(0, gy - r), min(height, gy + r + 1)):
             for x in range(max(0, gx - r), min(width, gx + r + 1)):
                 if math.hypot(x - gx, y - gy) <= goal_tolerance:
                     cell = y * width + x
                     self._known[cell] = self._best[cell] = 0.0
-                    self._open.append((self._ratio * math.hypot(x - sx, y - sy), 0.0, cell))
+                    self._open.append((self._guide[y * span + x + self._guide_base], 0.0, cell))
         heapq.heapify(self._open)
 
     def bound(self, pose: Pose) -> float:
@@ -221,17 +255,17 @@ class CostToGo:
         """Close cells until ``target`` is closed; its bound, ``inf`` when the
         goal region is unreachable from it, or the uncached straight-line bound
         once the budget is spent."""
-        heap, known, best, mask = self._open, self._known, self._best, self._mask
-        width, height, moves = self._width, self._height, self._moves
-        ratio, clock = self._ratio, self._clock
-        sx, sy = self._start.x, self._start.y
-        hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
+        heap, known, best, moves = self._open, self._known, self._best, self._moves
+        width, n = self._width, len(best)
+        guide, base, span = self._guide, self._guide_base, self._span
+        clock = self._clock
+        push, pop = heapq.heappush, heapq.heappop
         limited = self._budget != math.inf
         while heap:
             if limited and clock.now() - self._t0 >= self._budget:
                 ty, tx = divmod(target, width)
                 d = math.hypot(tx - self._goal.x, ty - self._goal.y) - self._tol
-                return ratio * d if d > 0.0 else 0.0
+                return self._ratio * d if d > 0.0 else 0.0
             _, g, v = pop(heap)
             if g > best[v]:
                 continue  # superseded entry
@@ -239,22 +273,15 @@ class CostToGo:
             self.cells_closed += 1
             clock.on_expansion()
             vy, vx = divmod(v, width)
-            for dx, dy, step, offsets, nominal, x_lo, y_lo, x_hi, y_hi in moves:
-                ux = vx - dx
-                uy = vy - dy
-                if (ux + x_lo < 0 or ux + x_hi >= width
-                        or uy + y_lo < 0 or uy + y_hi >= height):
-                    continue  # the edge into v would leave the map
+            gv = vy * span + vx + base
+            for step, guide_step, nominal, blocked in moves:
                 u = v - step
+                if u < 0 or u >= n or blocked[u]:
+                    continue  # the edge from u into v leaves the map or is masked
                 ng = g + nominal
-                if ng >= best[u]:
-                    continue
-                for off in offsets:
-                    if mask[u + off]:
-                        break
-                else:
+                if ng < best[u]:
                     best[u] = ng
-                    push(heap, (ng + ratio * hypot(ux - sx, uy - sy), ng, u))
+                    push(heap, (ng + guide[gv - guide_step], ng, u))
             if v == target:
                 return g
         return math.inf
@@ -320,19 +347,19 @@ class OpenList:
         return None
 
     def rekey(self, f_of, valid) -> None:
-        """Rebuild the heap with new keys, dropping invalid or duplicate entries."""
+        """Rebuild the heap with new keys, dropping invalid or duplicate entries.
+
+        Every key ends in the node's unique ``nid``, so the pop order does
+        not depend on how the heap was built: the survivors are heapified in
+        one go.
+        """
         seen: set[int] = set()
-        survivors: list[SearchNode] = []
-        for entry in self._heap:
-            node = entry[-1]
-            if node.nid in seen:
-                continue
-            seen.add(node.nid)
-            if valid(node):
-                survivors.append(node)
-        self._heap = []
-        for node in sorted(survivors, key=lambda n: n.nid):
-            self.push(node, f_of(node))
+        add = seen.add
+        heap = [(f_of(node), -node.g, *node.pose, node.prim_id, node.nid, node)
+                for node in [entry[-1] for entry in self._heap]
+                if node.nid not in seen and (add(node.nid) or valid(node))]
+        heapq.heapify(heap)
+        self._heap = heap
 
     def snapshot(self, valid) -> list[SearchNode]:
         seen: set[int] = set()

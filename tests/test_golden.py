@@ -18,22 +18,22 @@ from mhplan.search_core import AnytimeConfig
 # Default AnytimeConfig (1 s virtual budget, inflation 2.0 -> 1.0), VirtualClock.
 GOLDEN = {
     "clutter{size=24,n=3,seed=3,density=0.15}": [
-        ["SH", "3", "0", "solved", "0.0054999999999999945", "19.5", "19", "0", "1.0", "3"],
-        ["VEH", "3", "0", "solved", "0.00619999999999999", "20.5", "19", "0", "1.0", "3"],
+        ["SH", "3", "0", "solved", "0.004699999999999999", "19.5", "19", "0", "1.0", "3"],
+        ["VEH", "3", "0", "solved", "0.005549999999999994", "20.5", "19", "0", "1.0", "3"],
         ["PEH", "3", "0", "solved", "0.01724999999999998", "19.5", "47", "99", "1.0", "3"],
         ["GEH", "3", "0", "solved", "0.018850000000000026", "20.5", "375", "2", "1.0", "3"],
         ["GEGRH", "3", "0", "solved", "0.009699999999999969", "19.5", "191", "3", "1.0", "3"],
     ],
     "clutter{size=24,n=3,seed=2,density=0.15}": [
-        ["SH", "3", "0", "solved", "0.009149999999999972", "21.5", "19", "0", "1.0", "2"],
-        ["VEH", "3", "0", "solved", "0.008199999999999978", "23.5", "19", "0", "1.0", "2"],
+        ["SH", "3", "0", "solved", "0.008049999999999979", "21.5", "19", "0", "1.0", "2"],
+        ["VEH", "3", "0", "solved", "0.007699999999999981", "23.5", "19", "0", "1.0", "2"],
         ["PEH", "3", "0", "solved", "0.08839999999999842", "21.5", "412", "332", "1.0", "2"],
         ["GEH", "3", "0", "no-plan", "0.19234999999998698", "", "3845", "2", "2.0", "2"],
         ["GEGRH", "3", "0", "no-plan", "0.19234999999998698", "", "3845", "2", "2.0", "2"],
     ],
     "clutter{size=32,n=3,seed=12,density=0.15}": [
-        ["SH", "3", "0", "solved", "0.006849999999999986", "27.5", "27", "0", "1.0", "12"],
-        ["VEH", "3", "0", "solved", "0.009949999999999968", "28.5", "27", "0", "1.0", "12"],
+        ["SH", "3", "0", "solved", "0.0061499999999999905", "27.5", "27", "0", "1.0", "12"],
+        ["VEH", "3", "0", "solved", "0.007749999999999981", "28.5", "27", "0", "1.0", "12"],
         ["PEH", "3", "0", "solved", "0.013449999999999946", "27.5", "28", "43", "1.0", "12"],
         ["GEH", "3", "0", "solved", "0.01279999999999995", "27.5", "255", "1", "1.0", "12"],
         ["GEGRH", "3", "0", "solved", "0.016599999999999962", "27.5", "270", "6", "1.0", "12"],
@@ -58,8 +58,8 @@ WORKLOAD_GOLDEN = {
     ]),
     "clutter{size=48,n=5,seed=2,density=0.12,shift=2}": (
         ("SH", "VEH"), AnytimeConfig(time_budget=math.inf), [
-            ["SH", "5", "0", "solved", "0.02425000000000018", "48.5", "43", "0", "1.0", "2"],
-            ["VEH", "5", "0", "solved", "0.1812499999999882", "70.0", "2628", "0", "1.0", "2"],
+            ["SH", "5", "0", "solved", "0.01860000000000002", "48.5", "43", "0", "1.0", "2"],
+            ["VEH", "5", "0", "solved", "0.17824999999998853", "70.0", "2628", "0", "1.0", "2"],
         ]),
 }
 

@@ -4,7 +4,6 @@ import os
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from mhplan.costmap import gen_case1, save_stack
@@ -257,7 +256,17 @@ def fake_record(mode, n_hyp, time, duration, status="solved"):
     return ResultRecord("s", mode, n_hyp, 0, status, time, duration, 1, 0, 1.0, 0)
 
 
-def test_summary_matches_numpy():
+def _linear_quantile(values, p):
+    """The ``p`` quantile by linear interpolation between the order
+    statistics at rank ``(n - 1) * p`` (numpy's default "linear" method)."""
+    xs = sorted(values)
+    rank = (len(xs) - 1) * p
+    lo = math.floor(rank)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (rank - lo) * (xs[hi] - xs[lo])
+
+
+def test_summary_matches_textbook_formulas():
     rng = random.Random(17)
     for trial in range(20):
         n = rng.randrange(2, 40)
@@ -265,17 +274,18 @@ def test_summary_matches_numpy():
         records = [fake_record("SH", 2, t, 2 * t) for t in times]
         [row] = summarize(records)
         s = row.planning_time
-        arr = np.array(times)
+        mean = math.fsum(times) / n
+        std = math.sqrt(math.fsum((t - mean) ** 2 for t in times) / (n - 1))
         assert s.count == n
-        assert s.mean == pytest.approx(arr.mean())
-        assert s.median == pytest.approx(np.median(arr))
-        assert s.ci95 == pytest.approx(1.96 * arr.std(ddof=1) / math.sqrt(n))
-        assert s.q1 == pytest.approx(np.quantile(arr, 0.25, method="linear"))
-        assert s.q3 == pytest.approx(np.quantile(arr, 0.75, method="linear"))
+        assert s.mean == pytest.approx(mean)
+        assert s.median == pytest.approx(_linear_quantile(times, 0.5))
+        assert s.ci95 == pytest.approx(1.96 * std / math.sqrt(n))
+        assert s.q1 == pytest.approx(_linear_quantile(times, 0.25))
+        assert s.q3 == pytest.approx(_linear_quantile(times, 0.75))
         iqr = s.q3 - s.q1
         assert s.whisker_lo == min(v for v in times if v >= s.q1 - 1.5 * iqr)
         assert s.whisker_hi == max(v for v in times if v <= s.q3 + 1.5 * iqr)
-        assert row.path_duration.mean == pytest.approx(2 * arr.mean())
+        assert row.path_duration.mean == pytest.approx(2 * mean)
 
 
 def test_summary_single_sample():

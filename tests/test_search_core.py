@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -5,13 +6,13 @@ import pytest
 
 from mhplan.costmap import CostMap, HypothesisStack, gen_clutter
 from mhplan.lattice import (SOFT_FACTOR, EdgeEvaluation, MotionPrimitive, Pose,
-                            PrimitiveLibrary, default_library, evaluate_at,
-                            evaluate_edge, load_library, save_library, successors,
-                            supercover_offsets)
+                            PrimitiveLibrary, default_library, divergence_mask,
+                            evaluate_at, evaluate_edge, load_library, save_library,
+                            successors, supercover_offsets)
 from mhplan.oracle import dijkstra_reference, veh_reference
 from mhplan.planners import plan
 from mhplan.search_core import (AnytimeConfig, AnytimeSearch, BestGTable, CostToGo,
-                                HistoryFrontier, OpenList, PlanningInputError,
+                                HistoryFrontier, blocked_origins, OpenList, PlanningInputError,
                                 SearchNode, SearchProblem, SearchTrace,
                                 VirtualClock, WallClock, heuristic)
 
@@ -59,8 +60,8 @@ def test_heuristic_admissible_on_random_instances():
 # -- cost-to-go field --------------------------------------------------------
 
 
-def _field(stack, lib, goal, tolerance=0.0, clock=None, budget=math.inf):
-    problem = SearchProblem(stack, lib, Pose(0, 0, 0), goal, mask=stack.lethal_mask)
+def _field(stack, lib, goal, tolerance=0.0, clock=None, budget=math.inf, start=Pose(0, 0, 0)):
+    problem = SearchProblem(stack, lib, start, goal, mask=stack.lethal_mask)
     return CostToGo(problem, tolerance, clock or VirtualClock(), 0.0, budget)
 
 
@@ -85,6 +86,141 @@ def _hop_library(path):
                                          supercover_offsets(kx, ky)))
     save_library(PrimitiveLibrary(tuple(prims)), str(path))
     return load_library(str(path), nominal_speed=1.5)
+
+
+def _shapes(lib):
+    """The first primitive of each shape, by shape."""
+    shapes = {}
+    for p in lib.prims:
+        shapes.setdefault(lib.shape[p.id], p)
+    return shapes
+
+
+def _border_mask(rng, w, h):
+    """Random nonzero bytes (not only 1) at about a fifth of the cells, with
+    at least one masked cell on each border."""
+    mask = bytearray(rng.choice((1, 7, 255)) if rng.random() < 0.2 else 0
+                     for _ in range(w * h))
+    for cell in (rng.randrange(w), (h - 1) * w + rng.randrange(w),
+                 rng.randrange(h) * w, rng.randrange(h) * w + w - 1):
+        mask[cell] = 1
+    return bytes(mask)
+
+
+def test_blocked_origins_match_a_per_cell_reference(tmp_path):
+    # On non-square maps with masked cells on all four borders, an origin's
+    # byte is 1 exactly where its shape's edge leaves the map or sweeps a
+    # masked cell, for the default library and one with longer hops.
+    rng = random.Random(13)
+    leaving = masked = free = 0
+    for lib in (LIB, _hop_library(tmp_path / "hops.mhprim")):
+        for w, h in ((9, 5), (5, 9)):
+            for _ in range(3):
+                mask = _border_mask(rng, w, h)
+                blocked = blocked_origins(mask, lib, w, h)
+                off_map = lib.off_map(w, h)
+                assert len(blocked) == len(off_map) == lib.n_shapes
+                for shape, prim in _shapes(lib).items():
+                    leaves = [any(not (0 <= x + ox < w and 0 <= y + oy < h)
+                                  for ox, oy in prim.swept)
+                              for y in range(h) for x in range(w)]
+                    expect = bytes(
+                        leaves[y * w + x] or any(mask[(y + oy) * w + x + ox]
+                                                 for ox, oy in prim.swept)
+                        for y in range(h) for x in range(w))
+                    assert off_map[shape] == bytes(leaves)
+                    assert blocked[shape] == expect, (w, h, prim)
+                    leaving += sum(leaves)
+                    masked += sum(expect) - sum(leaves)
+                    free += w * h - sum(expect)
+    assert min(leaving, masked, free) > 100
+
+
+def test_free_costs_are_exact_and_consistent(tmp_path):
+    # The guide table: 0 at the origin, never above the entry one shape back
+    # plus that shape's duration (consistency), and equal to the least such
+    # sum elsewhere (exact), for every in-box displacement and shape.
+    for lib in (LIB, _hop_library(tmp_path / "hops.mhprim")):
+        steps = [(p.dx, p.dy, lib.duration(p)) for p in _shapes(lib).values()]
+        for w, h in ((9, 5), (5, 9), (1, 4)):
+            span = 2 * w - 1
+            costs = lib.free_costs(w, h)
+            assert lib.free_costs(w, h) is costs
+            assert len(costs) == span * (2 * h - 1)
+
+            def at(dx, dy):
+                return costs[(dy + h - 1) * span + dx + w - 1]
+
+            box = [(dx, dy) for dy in range(1 - h, h) for dx in range(1 - w, w)]
+            assert at(0, 0) == 0.0
+            for dx, dy in box:
+                back = [at(dx - sx, dy - sy) + d for sx, sy, d in steps
+                        if abs(dx - sx) < w and abs(dy - sy) < h]
+                for prior in back:
+                    assert at(dx, dy) <= prior
+                if (dx, dy) != (0, 0):
+                    assert at(dx, dy) == min(back, default=math.inf)
+            if w > 1:
+                assert all(c < math.inf for c in costs)
+    # A move of 4 right and 3 up on the default library: three diagonals
+    # and one cardinal step.
+    assert LIB.free_costs(9, 5)[(3 + 4) * 17 + 4 + 8] == 3 * 1.5 + 1.0
+
+
+def _relaxed_reference(mask, lib, w, h, goal, tolerance):
+    """Backward Dijkstra over the relaxed cell lattice: from every cell of the
+    goal region, each shape at its nominal duration, unless its edge leaves
+    the map or sweeps a masked cell.  Cells it never reaches are absent."""
+    dist = {}
+    heap = [(0.0, x, y) for y in range(h) for x in range(w)
+            if math.hypot(x - goal.x, y - goal.y) <= tolerance]
+    shapes = [p for p in _shapes(lib).values() if p.dx or p.dy]
+    while heap:
+        g, x, y = heapq.heappop(heap)
+        if (x, y) in dist:
+            continue
+        dist[x, y] = g
+        for p in shapes:
+            ux, uy = x - p.dx, y - p.dy
+            if (ux, uy) in dist or not (0 <= ux < w and 0 <= uy < h):
+                continue
+            if all(0 <= ux + ox < w and 0 <= uy + oy < h and not mask[(uy + oy) * w + ux + ox]
+                   for ox, oy in p.swept):
+                heapq.heappush(heap, (g + lib.duration(p), ux, uy))
+    return dist
+
+
+def test_cost_to_go_equals_a_backward_dijkstra_at_every_cell(tmp_path):
+    # The field is the exact relaxed cost at every cell (inf where the
+    # reference never arrives), whatever the start its guide aims at, with
+    # and without goal tolerance; bit for bit on the default library, whose
+    # durations are multiples of 0.5.
+    rng = random.Random(23)
+    unreachable = 0
+    for lib in (LIB, _hop_library(tmp_path / "hops.mhprim")):
+        for w, h in ((11, 7), (7, 11)):
+            for tolerance in (0.0, 1.5):
+                cmap = _soft_map(rng, w, h, 0.2)
+                if tolerance:
+                    cmap = cmap.with_cells({(w // 2, y): 255 for y in range(h)})
+                goal = Pose(rng.randrange(w), rng.randrange(h), 0)
+                start = Pose(rng.randrange(w), rng.randrange(h), 0)
+                cmap = cmap.with_cells({goal.cell(): 0})
+                stack = HypothesisStack((cmap,))
+                ref = _relaxed_reference(cmap.lethal_mask, lib, w, h, goal, tolerance)
+                field = _field(stack, lib, goal, tolerance, start=start)
+                cells = [(x, y) for y in range(h) for x in range(w)]
+                rng.shuffle(cells)
+                for x, y in cells:
+                    bound = field.bound(Pose(x, y, 0))
+                    expect = ref.get((x, y), math.inf)
+                    if lib is LIB:
+                        assert bound == expect, (x, y)
+                    else:
+                        assert bound == pytest.approx(expect, abs=1e-9), (x, y)
+                assert field.cells_closed == len(ref)
+                unreachable += w * h - len(ref)
+    assert unreachable > 20
 
 
 def test_cost_to_go_is_a_lower_bound_from_every_pose(tmp_path):
@@ -349,6 +485,38 @@ def test_edge_kernel_matches_per_map_formula_bit_for_bit():
     assert min(seen.values()) > 0, seen
 
 
+def test_divergence_mask_matches_a_per_cell_reference():
+    # Seeded stacks of one to five maps: 1 exactly where some map differs
+    # from the primary in value or in lethality, and None where no cell
+    # differs.
+    rng = random.Random(8)
+    seen = {"none": 0, "some": 0}
+    for n in range(1, 6):
+        for _ in range(6):
+            w, h = rng.randrange(4, 9), rng.randrange(4, 9)
+            maps = _diverging_stack(rng, w, h, n).maps
+            primary = maps[0]
+            expect = bytes(any(m.cells[i] != primary.cells[i]
+                               or m.lethal_mask[i] != primary.lethal_mask[i]
+                               for m in maps[1:])
+                           for i in range(w * h))
+            got = divergence_mask(maps)
+            if any(expect):
+                seen["some"] += 1
+                assert type(got) is bytes and got == expect
+            else:
+                seen["none"] += 1
+                assert got is None
+    assert min(seen.values()) > 0, seen
+    primary = CostMap(3, 1, 1.0, (0, 150, 254))
+    assert divergence_mask((primary,)) is None
+    assert divergence_mask((primary, primary)) is None
+    assert divergence_mask((primary, CostMap(3, 1, 1.0, (0, 150, 254)))) is None
+    # Equal values under another threshold differ only where lethality does.
+    assert divergence_mask((primary, CostMap(3, 1, 1.0, (0, 150, 254), 150))) == b"\0\1\0"
+    assert divergence_mask((primary, CostMap(3, 1, 1.0, (0, 150, 254), 200))) is None
+
+
 def test_edge_table_shares_one_evaluation_across_headings():
     lib = _shape_sharing_library()
     assert lib.n_shapes == 3
@@ -462,6 +630,40 @@ def test_open_list_rekey_drops_and_dedups():
     assert len(ol) == 1
     assert ol.pop_valid(lambda n: True) is a
     assert ol.pop_valid(lambda n: True) is None
+
+
+def test_open_list_rekey_pops_like_pushes_in_nid_order():
+    # Random keys with ties, nodes pushed several times and invalid nodes:
+    # the rekeyed heap pops exactly what a heap built by pushing the valid
+    # nodes once each, in nid order, pops.
+    rng = random.Random(3)
+    for _ in range(30):
+        nodes = [mknode(nid, Pose(rng.randrange(3), rng.randrange(3), rng.randrange(2)),
+                        rng.choice((0.5, 1.0, 1.5)), 0.0) for nid in range(40)]
+        ol = OpenList()
+        pushed = {}
+        for _ in range(60):
+            node = rng.choice(nodes)
+            ol.push(node, rng.choice((1.0, 2.0)))
+            pushed[node.nid] = node
+        invalid = set(rng.sample(range(40), 10))
+        keys = {node.nid: rng.choice((1.0, 2.0, 2.5)) for node in nodes}
+
+        def valid(n):
+            return n.nid not in invalid
+
+        def f_of(n):
+            return keys[n.nid]
+
+        ol.rekey(f_of, valid)
+        ref = OpenList()
+        for nid in sorted(pushed):
+            if valid(pushed[nid]):
+                ref.push(pushed[nid], f_of(pushed[nid]))
+        assert len(ol) == len(ref) < len(pushed)
+        pops = [ol.pop_valid(valid) for _ in range(len(ref) + 1)]
+        assert pops == [ref.pop_valid(valid) for _ in range(len(ref) + 1)]
+        assert pops[-1] is None
 
 
 def test_open_list_pop_skips_invalid():

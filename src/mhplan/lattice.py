@@ -10,14 +10,14 @@ from one 256-entry module table, ``SOFT_FACTOR``, instead of dividing per
 cell; the table holds the same floats the division gives, so every cost is
 bit-identical to the formula.
 
-A :class:`PrimitiveLibrary` precomputes what the search's hot path needs of
-its primitives: the shape index (primitives with the same swept cells and arc
-length cost the same from any cell, whatever their headings), each
-primitive's swept-cell bounding box; per map width and shape, the swept
-cells as flat index offsets together with the nominal duration; and, per map
-size, which cells each shape's edge leaves the map from and the
-obstacle-free time of every displacement (the cost-to-go field's blocked
-cells and guide, see :class:`mhplan.search_core.CostToGo`).
+A :class:`PrimitiveLibrary` describes each shape once (primitives with the
+same swept cells and arc length cost the same from any cell, whatever their
+headings): ``shapes`` holds the first primitive of each, and every per-shape
+table is derived from it.  Per map width, those are the swept cells as flat
+index offsets together with the nominal duration; per map size, which cells
+each shape's edge leaves the map from (the edge table's and the cost-to-go
+field's one rule for it) and the obstacle-free time of every displacement
+(the field's guide, see :class:`mhplan.search_core.CostToGo`).
 
 One kernel, :func:`evaluate_at`, holds the edge-cost formula.  World
 hypotheses agree on most cells, so it walks the swept cells on the primary
@@ -137,11 +137,10 @@ class PrimitiveLibrary:
 
     ``shape[prim.id]`` numbers the distinct ``(swept, arc_length)`` pairs,
     ``0 .. n_shapes - 1`` in ascending primitive id of their first use; the
-    default library's 24 primitives have 8 shapes.  ``moves[heading]`` lists,
-    in ascending primitive id, ``(prim, shape, x_lo, y_lo, x_hi, y_hi)``:
-    an edge from ``(x, y)`` stays on a ``width`` x ``height`` map exactly when
-    ``0 <= x + x_lo``, ``x + x_hi < width``, ``0 <= y + y_lo`` and
-    ``y + y_hi < height``.
+    default library's 24 primitives have 8 shapes.  ``shapes[shape]`` is the
+    first primitive of that shape, the one description :meth:`geometry`,
+    :meth:`off_map` and :meth:`free_costs` read.  ``moves[heading]`` lists,
+    in ascending primitive id, ``(prim, shape)``.
     """
 
     def __init__(self, prims: tuple[MotionPrimitive, ...], nominal_speed: float = 1.0,
@@ -158,15 +157,15 @@ class PrimitiveLibrary:
             h: tuple(p for p in self.prims if p.start_heading == h) for h in range(N_HEADINGS)
         }
         self._by_id = {p.id: p for p in self.prims}
-        shapes: dict[tuple, int] = {}
-        self.shape = {p.id: shapes.setdefault((p.swept, p.arc_length), len(shapes))
-                      for p in self.prims}
-        self.n_shapes = len(shapes)
-        self.moves: dict[int, tuple[tuple, ...]] = {
-            h: tuple((p, self.shape[p.id],
-                      min(x for x, _ in p.swept), min(y for _, y in p.swept),
-                      max(x for x, _ in p.swept), max(y for _, y in p.swept))
-                     for p in prims)
+        first: dict[tuple, MotionPrimitive] = {}
+        for p in self.prims:
+            first.setdefault((p.swept, p.arc_length), p)
+        self.shapes = tuple(first.values())
+        self.n_shapes = len(self.shapes)
+        index = {key: s for s, key in enumerate(first)}
+        self.shape = {p.id: index[p.swept, p.arc_length] for p in self.prims}
+        self.moves: dict[int, tuple[tuple[MotionPrimitive, int], ...]] = {
+            h: tuple((p, self.shape[p.id]) for p in prims)
             for h, prims in self.by_heading.items()
         }
         self._geometry: dict[int, tuple[tuple[tuple[int, ...], float], ...]] = {}
@@ -178,12 +177,9 @@ class PrimitiveLibrary:
         ``y * width + x`` and the nominal duration; cached per map width."""
         geo = self._geometry.get(width)
         if geo is None:
-            first: dict[int, MotionPrimitive] = {}
-            for p in self.prims:
-                first.setdefault(self.shape[p.id], p)
             geo = self._geometry[width] = tuple(
                 (tuple(oy * width + ox for ox, oy in p.swept), self.duration(p))
-                for _, p in sorted(first.items()))
+                for p in self.shapes)
         return geo
 
     def off_map(self, width: int, height: int) -> tuple[bytes, ...]:
@@ -193,13 +189,11 @@ class PrimitiveLibrary:
         key = (width, height)
         patterns = self._off_map.get(key)
         if patterns is None:
-            boxes: dict[int, tuple[int, int, int, int]] = {}
-            for moves in self.moves.values():
-                for _prim, shape, x_lo, y_lo, x_hi, y_hi in moves:
-                    boxes.setdefault(shape, (x_lo, y_lo, x_hi, y_hi))
             out = []
-            for shape in range(self.n_shapes):
-                x_lo, y_lo, x_hi, y_hi = boxes[shape]
+            for p in self.shapes:
+                xs = [x for x, _ in p.swept]
+                ys = [y for _, y in p.swept]
+                x_lo, y_lo, x_hi, y_hi = min(xs), min(ys), max(xs), max(ys)
                 row = bytes(not (0 <= x + x_lo and x + x_hi < width) for x in range(width))
                 off = b"\x01" * width
                 out.append(b"".join(row if 0 <= y + y_lo and y + y_hi < height else off
@@ -224,7 +218,7 @@ class PrimitiveLibrary:
         if costs is None:
             span = 2 * width - 1
             steps: dict[tuple[int, int], float] = {}
-            for p in self.prims:
+            for p in self.shapes:
                 if p.dx or p.dy:
                     d = self.duration(p)
                     steps[p.dx, p.dy] = min(d, steps.get((p.dx, p.dy), d))
@@ -295,8 +289,9 @@ def successors(pose: Pose, lib: PrimitiveLibrary, width: int, height: int
     """Applicable primitives at ``pose`` whose swept cells stay on the map.
 
     Deterministic: ascending primitive id.  This is the reference
-    enumeration; the search itself tests the bounding boxes of
-    :attr:`PrimitiveLibrary.moves` instead.
+    enumeration; the search itself reads which edges leave the map from
+    :meth:`PrimitiveLibrary.off_map`, through its edge table (see
+    :meth:`mhplan.search_core.SearchProblem.edges`).
     """
     out = []
     for prim in lib.by_heading.get(pose.heading, ()):
@@ -321,14 +316,6 @@ class EdgeEvaluation(NamedTuple):
 
     valid: tuple[bool, ...]
     cost: tuple[float | None, ...]
-
-    @property
-    def valid_in_any(self) -> bool:
-        return any(self.valid)
-
-    @property
-    def valid_in_all(self) -> bool:
-        return all(self.valid)
 
 
 # The interned all-valid tuple of each hypothesis count: most evaluations
@@ -375,8 +362,7 @@ def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,
     every one.
 
     ``divergence`` is the :func:`divergence_mask` of ``maps`` (None when they
-    agree on every cell), or any object whose item is true for each cell the
-    maps may differ on.  While no swept cell diverges, the edge is costed on
+    agree on every cell).  While no swept cell diverges, the edge is costed on
     the primary map alone: a lethal cell there is lethal in every map, and
     the cost, summed from the same values in the same order, is the one every
     map would give.  Otherwise it is costed on each map.  The evaluation's
@@ -424,18 +410,6 @@ def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,
     return tuple.__new__(EdgeEvaluation, (valid, tuple(cost)))
 
 
-class _EveryCell:
-    """Divergence of maps never compared: any cell may differ."""
-
-    __slots__ = ()
-
-    def __getitem__(self, idx: int) -> bool:
-        return True
-
-
-_EVERY_CELL = _EveryCell()
-
-
 def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
                   lib: PrimitiveLibrary) -> EdgeEvaluation:
     """Check and cost one edge against every hypothesis in the stack.
@@ -446,7 +420,7 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
     :meth:`PrimitiveLibrary.geometry`; any other is costed from its own
     fields.  An edge that leaves the map is invalid in every hypothesis, as
     in :meth:`Trajectory.collision_free`.  The cost comes from
-    :func:`evaluate_at`.
+    :func:`evaluate_at`, against the stack's :func:`divergence_mask`.
     """
     width = stack.width
     height = stack.height
@@ -460,7 +434,7 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
         offsets = tuple(oy * width + ox for ox, oy in prim.swept)
         nominal = lib.duration(prim)
     ev = evaluate_at(pose.y * width + pose.x, offsets, nominal, stack.maps,
-                     None if n == 1 else _EVERY_CELL)
+                     divergence_mask(stack.maps))
     if ev is None:
         return EdgeEvaluation((False,) * n, (None,) * n)
     return ev
@@ -556,7 +530,3 @@ def shared_default_library(resolution: float = 1.0) -> PrimitiveLibrary:
         lib = default_library(resolution)
         _LIB_CACHE[key] = lib
     return lib
-
-
-def euclid_cells(a: tuple[int, int], b: tuple[int, int]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])

@@ -107,7 +107,7 @@ def veh_reference(stack: HypothesisStack, lib: PrimitiveLibrary, start: Pose, go
 
     def edge_fn(pose, prim):
         ev = evaluate_edge(pose, prim, stack, lib)
-        if not ev.valid_in_all:
+        if False in ev.valid:
             return None
         return sum(ev.cost) / len(ev.cost)
 

@@ -137,8 +137,6 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
     for h, is_pending in enumerate(pending):
         if not is_pending:
             continue
-        if rerouter.stack.maps[h].is_lethal(dst.x, dst.y):
-            continue  # endpoint itself blocked in h; keep waiting
         anchor = histories.last_intact(parent, h)
         traj = rerouter.reroute(engine, anchor.pose, dst.cell(), h)
         if traj is None:
@@ -183,9 +181,7 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
             if not pending[h]:
                 continue
             anchor = info.anchors[h]
-            traj = None
-            if anchor is not None and not rerouter.stack.maps[h].is_lethal(*goal_cell):
-                traj = rerouter.reroute(engine, anchor.pose, goal_cell, h)
+            traj = rerouter.reroute(engine, anchor.pose, goal_cell, h)
             if traj is None:
                 if h == 0:
                     return DROP  # primary trajectory cannot be realized
@@ -294,7 +290,10 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
 class Rerouter:
     """Memoized single-hypothesis detour searches sharing the caller's clock.
 
-    All nested searches of one hypothesis share one edge table (see
+    It is the one place that refuses a detour: a query whose anchor or
+    target cell is lethal in its hypothesis, or that finds no budget left,
+    answers None without a search, costs no tick and is memoized like any
+    other.  All nested searches of one hypothesis share one edge table (see
     :class:`~mhplan.search_core.SearchProblem`), kept for the life of the
     rerouter, that is, of one plan call.
     """

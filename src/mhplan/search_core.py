@@ -185,21 +185,21 @@ class CostToGo:
     (origin cell, shape), built once per field (:func:`blocked_origins`).
 
     Each closed cell costs one clock tick, as an expansion does.  Once the
-    search's budget is spent the field stops resuming and answers with the
-    straight-line bound (distance times the least nominal duration per cell
-    of displacement over the shapes), without keeping it.  The field holds
-    the problem's constants and the clock, never the search.
+    search's budget is spent the field stops resuming and answers ``0.0``
+    without keeping it.  No search decision reads that value: the field
+    tests the engine's own timeout, ``clock.now() - t0 >= time_budget`` on
+    the same clock, so the engine times out before it pops any node keyed
+    with it.  The field holds the problem's constants and the clock, never
+    the search.
     """
 
     __slots__ = ("cells_closed", "_known", "_best", "_open", "_moves", "_width", "_guide",
-                 "_guide_base", "_span", "_ratio", "_goal", "_tol", "_clock", "_t0",
-                 "_budget")
+                 "_guide_base", "_span", "_clock", "_t0", "_budget")
 
     def __init__(self, problem: "SearchProblem", goal_tolerance: float, clock, t0: float,
                  budget: float):
         lib = problem.lib
         width, height = problem.stack.width, problem.stack.height
-        geometry = lib.geometry(width)
         blocked = blocked_origins(problem.mask, lib, width, height)
         # The guide of cell (x, y) is guide[y * span + x + guide_base]: the
         # free-space time of its displacement from the start.
@@ -208,23 +208,11 @@ class CostToGo:
         self._guide = lib.free_costs(width, height)
         self._guide_base = (height - 1 - start.y) * span + width - 1 - start.x
         self._span = span
-        moves = []
-        seen = set()
-        ratio = math.inf
-        for prim in lib.prims:
-            shape = lib.shape[prim.id]
-            if shape in seen or not (prim.dx or prim.dy):
-                continue  # a shape already listed, or a turn in place
-            seen.add(shape)
-            nominal = geometry[shape][1]
-            ratio = min(ratio, nominal / math.hypot(prim.dx, prim.dy))
-            moves.append((prim.dy * width + prim.dx, prim.dy * span + prim.dx, nominal,
-                          blocked[shape]))
-        self._ratio = ratio if moves else 0.0
-        self._moves = tuple(moves)
+        self._moves = tuple((prim.dy * width + prim.dx, prim.dy * span + prim.dx,
+                             lib.duration(prim), blocked[shape])
+                            for shape, prim in enumerate(lib.shapes)
+                            if prim.dx or prim.dy)  # a turn in place moves nowhere
         self._width = width
-        self._goal = problem.goal
-        self._tol = goal_tolerance
         self._clock = clock
         self._t0 = t0
         self._budget = budget
@@ -233,7 +221,7 @@ class CostToGo:
         self._known: list[float | None] = [None] * n_cells
         self._best = [math.inf] * n_cells
         self._open: list[tuple[float, float, int]] = []
-        gx, gy = self._goal.x, self._goal.y
+        gx, gy = problem.goal.x, problem.goal.y
         r = int(min(goal_tolerance, width + height))
         for y in range(max(0, gy - r), min(height, gy + r + 1)):
             for x in range(max(0, gx - r), min(width, gx + r + 1)):
@@ -253,8 +241,8 @@ class CostToGo:
 
     def _resume(self, target: int) -> float:
         """Close cells until ``target`` is closed; its bound, ``inf`` when the
-        goal region is unreachable from it, or the uncached straight-line bound
-        once the budget is spent."""
+        goal region is unreachable from it, or an uncached ``0.0`` once the
+        budget is spent (see the class docstring)."""
         heap, known, best, moves = self._open, self._known, self._best, self._moves
         width, n = self._width, len(best)
         guide, base, span = self._guide, self._guide_base, self._span
@@ -263,9 +251,7 @@ class CostToGo:
         limited = self._budget != math.inf
         while heap:
             if limited and clock.now() - self._t0 >= self._budget:
-                ty, tx = divmod(target, width)
-                d = math.hypot(tx - self._goal.x, ty - self._goal.y) - self._tol
-                return self._ratio * d if d > 0.0 else 0.0
+                return 0.0
             _, g, v = pop(heap)
             if g > best[v]:
                 continue  # superseded entry
@@ -384,10 +370,13 @@ class SearchProblem:
     The edge table is a dict keyed by ``cell * lib.n_shapes + shape``, where
     ``cell = y * width + x``: it holds the :class:`EdgeEvaluation` of the edge
     of that shape (see :class:`~mhplan.lattice.PrimitiveLibrary`) from that
-    cell, or ``None`` when the edge is invalid in every hypothesis.  Poses at
-    one cell share the entries of the shapes their headings have in common.
-    It is filled lazily through :func:`~mhplan.lattice.evaluate_at`, the one
-    edge-cost kernel, against the stack's divergence mask
+    cell, or ``None`` when the edge leaves the map or is invalid in every
+    hypothesis.  Poses at one cell share the entries of the shapes their
+    headings have in common.  It is filled lazily: an edge leaves the map
+    where the shape's :meth:`~mhplan.lattice.PrimitiveLibrary.off_map` byte
+    says so, the rule :func:`blocked_origins` reads too, and any other is
+    costed through :func:`~mhplan.lattice.evaluate_at`, the one edge-cost
+    kernel, against the stack's divergence mask
     (:func:`~mhplan.lattice.divergence_mask`), built once per problem and
     None for a single map.  The table holds nothing that depends on the
     start or goal, so problems over the same stack may share one by passing
@@ -415,8 +404,9 @@ class SearchProblem:
         self.divergence = divergence_mask(stack.maps)
         # What edges() reads on every call, fetched once (the stack's width
         # and height are properties).
-        self._fill = (stack.width, stack.height, lib.n_shapes, lib.moves,
-                      lib.geometry(stack.width), stack.maps)
+        width = stack.width
+        self._fill = (width, lib.n_shapes, lib.moves, lib.geometry(width),
+                      lib.off_map(width, stack.height), stack.maps)
 
     def evaluate(self, pose: Pose, prim: MotionPrimitive) -> EdgeEvaluation:
         """One edge against every hypothesis of the stack (not cached; off the
@@ -431,7 +421,7 @@ class SearchProblem:
         the table.
         """
         x, y, heading = pose
-        width, height, n_shapes, moves, geometry, maps = self._fill
+        width, n_shapes, moves, geometry, off_map, maps = self._fill
         cell = y * width + x
         base = cell * n_shapes
         table = self.table
@@ -441,14 +431,12 @@ class SearchProblem:
         # result against successors()' Pose for every pose.
         new = tuple.__new__
         row = []
-        for prim, shape, x_lo, y_lo, x_hi, y_hi in moves[heading]:
-            if x + x_lo < 0 or x + x_hi >= width or y + y_lo < 0 or y + y_hi >= height:
-                continue
+        for prim, shape in moves[heading]:
             ev = table.get(base + shape, _MISSING)
             if ev is _MISSING:
-                offsets, nominal = geometry[shape]
-                ev = table[base + shape] = evaluate_at(cell, offsets, nominal, maps,
-                                                       self.divergence)
+                ev = table[base + shape] = (
+                    None if off_map[shape][cell]
+                    else evaluate_at(cell, *geometry[shape], maps, self.divergence))
             if ev is not None:
                 row.append((prim, new(Pose, (x + prim.dx, y + prim.dy, prim.end_heading)), ev))
         return tuple(row)
@@ -635,12 +623,17 @@ class AnytimeSearch:
         self.open.push(node, node.f)
 
     def node_live(self, node: SearchNode) -> bool:
-        """Validity filter used for pops, rekeys, and snapshots."""
-        if self._is_removed(node):
-            return False
-        if self.in_goal_region(node.pose):
+        """Validity filter used for pops, rekeys, and snapshots.
+
+        A node the frontier holds is live: :meth:`revoke` purges every
+        removed node from the frontier, and only nodes the frontier holds
+        are expanded, so none it records later descends from a removed one.
+        Goal candidates never enter the frontier; they are live unless
+        removed.
+        """
+        if self.frontier.current(node):
             return True
-        return self.frontier.current(node)
+        return self.in_goal_region(node.pose) and not self._is_removed(node)
 
     def _is_removed(self, node: SearchNode) -> bool:
         """Whether ``node`` lies in a subtree dropped by :meth:`revoke`."""

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -7,8 +6,7 @@ import pytest
 from mhplan.costmap import CostMap, HypothesisStack
 from mhplan.lattice import (CARDINAL_ARC, DIAGONAL_ARC, DIRS, N_HEADINGS, SOFT_FACTOR,
                             EdgeEvaluation, LibraryFormatError, MotionPrimitive, Pose,
-                            Trajectory, default_library, euclid_cells,
-                            evaluate_edge, load_library, save_library,
+                            Trajectory, default_library, evaluate_edge, load_library, save_library,
                             successors, supercover_offsets)
 
 
@@ -35,7 +33,6 @@ def test_pose_and_edge_evaluation_value_semantics():
     ev = EdgeEvaluation((True, False), (1.5, None))
     assert repr(ev) == "EdgeEvaluation(valid=(True, False), cost=(1.5, None))"
     assert hash(ev) == hash(((True, False), (1.5, None)))
-    assert ev.valid_in_any and not ev.valid_in_all
     with pytest.raises(AttributeError):
         ev.valid = (True, True)
 
@@ -123,22 +120,23 @@ def test_default_library_shape():
             assert p.arc_length == expect
 
 
-def test_library_shapes_bounding_boxes_and_geometry():
+def test_library_shapes_moves_and_geometry():
     lib = default_library(resolution=0.5, nominal_speed=2.0)
     # One shape per displacement: forward from h and left from h - 1 share one.
-    assert lib.n_shapes == N_HEADINGS
+    assert lib.n_shapes == len(lib.shapes) == N_HEADINGS
     for p in lib.prims:
         same = [q.id for q in lib.prims if lib.shape[q.id] == lib.shape[p.id]]
         assert same == [q.id for q in lib.prims
                         if (q.swept, q.arc_length) == (p.swept, p.arc_length)]
     assert sorted(set(lib.shape.values())) == list(range(N_HEADINGS))
+    # shapes[s] is the first primitive of shape s, and shapes are numbered in
+    # ascending primitive id of that first use.
+    for shape, first in enumerate(lib.shapes):
+        assert first is min((p for p in lib.prims if lib.shape[p.id] == shape),
+                            key=lambda p: p.id)
+    assert [p.id for p in lib.shapes] == sorted(p.id for p in lib.shapes)
     for h in range(N_HEADINGS):
-        assert [m[0] for m in lib.moves[h]] == list(lib.by_heading[h])
-        for p, shape, x_lo, y_lo, x_hi, y_hi in lib.moves[h]:
-            assert shape == lib.shape[p.id]
-            xs = [x for x, _ in p.swept]
-            ys = [y for _, y in p.swept]
-            assert (x_lo, y_lo, x_hi, y_hi) == (min(xs), min(ys), max(xs), max(ys))
+        assert lib.moves[h] == tuple((p, lib.shape[p.id]) for p in lib.by_heading[h])
     geo = lib.geometry(7)
     assert lib.geometry(7) is geo and lib.geometry(9) is not geo
     assert len(geo) == lib.n_shapes
@@ -254,7 +252,6 @@ def test_evaluate_edge_per_hypothesis_validity():
     ev = evaluate_edge(Pose(3, 3, 0), straight, stack, lib)
     assert ev.valid == (True, False)
     assert ev.cost[1] is None
-    assert ev.valid_in_any and not ev.valid_in_all
 
 
 def test_evaluate_edge_off_the_map_is_invalid_everywhere():
@@ -312,9 +309,3 @@ def test_trajectory_leaving_the_map_is_not_collision_free():
     p0, p1 = Pose(3, 0, 0), Pose(4, 0, 0)
     traj = Trajectory(((p0, 0, p1),), 1.0, p0)
     assert not traj.collision_free(CostMap(4, 4, 1.0, (0,) * 16), lib)
-
-
-def test_euclid_cells():
-    assert euclid_cells((0, 0), (3, 4)) == 5.0
-    assert euclid_cells((2, 2), (2, 2)) == 0.0
-    assert euclid_cells((0, 0), (1, 1)) == pytest.approx(math.sqrt(2))

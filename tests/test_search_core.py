@@ -280,13 +280,48 @@ def test_cost_to_go_charges_the_clock_and_keeps_no_budget_fallback():
     clock = VirtualClock(tick=1.0)
     field = _field(stack, LIB, Pose(8, 1, 0), clock=clock, budget=100.0)
     clock.t = 95.0
-    assert field.bound(Pose(1, 1, 0)) == 7.0  # straight line once 5 cells are closed
+    assert field.bound(Pose(1, 1, 0)) == 0.0  # once 5 cells are closed
     assert field.cells_closed == 5 and clock.now() == 100.0
     clock.t = 0.0  # budget again: the fallback was not kept
     assert field.bound(Pose(1, 1, 0)) == 20.5  # down through the gap and back
     assert field.cells_closed == 5 + clock.now()
     spent = clock.now()
     assert field.bound(Pose(1, 1, 0)) == 20.5 and clock.now() == spent
+
+
+def test_no_plan_reads_the_field_once_the_budget_is_spent(monkeypatch):
+    # Every answer the field gives once the budget is spent, the fallback
+    # and a bound closed on the last tick alike, is replaced by another
+    # finite value.  SH and VEH then return the same PlanResult under every
+    # budget of a sweep, with and without goal tolerance: the engine times
+    # out before it pops a node keyed with such a value.
+    resume = CostToGo._resume
+    replaced = []
+
+    def spent_answers_differ(self, target):
+        value = resume(self, target)
+        if self._clock.now() - self._t0 >= self._budget:
+            replaced.append(value)
+            return 1e9
+        return value
+
+    cases = []
+    for size, seed in ((16, 0), (16, 1), (24, 2)):
+        start, goal = Pose(1, 1, 0), Pose(size - 2, size - 2, 0)
+        stack = gen_clutter(size, size, seed, 0.15, 2, 1, keep_free=(start.cell(), goal.cell()))
+        for tolerance in (0.0, 1.5):
+            for mode in ("SH", "VEH"):
+                full = plan(mode, stack, start, goal,
+                            AnytimeConfig(time_budget=math.inf, goal_tolerance=tolerance))
+                for k in range(1, 9):
+                    cfg = AnytimeConfig(time_budget=full.planning_time * k / 7,
+                                        goal_tolerance=tolerance)
+                    cases.append((mode, stack, start, goal, cfg))
+    expected = [plan(*case) for case in cases]
+    monkeypatch.setattr(CostToGo, "_resume", spent_answers_differ)
+    assert [plan(*case) for case in cases] == expected
+    assert len(replaced) > 20 and 0.0 in replaced
+    assert {res.status for res in expected} == {"no-plan", "timeout-with-incumbent", "solved"}
 
 
 def test_plan_ticks_count_expansions_and_field_cells():
@@ -383,7 +418,7 @@ def test_edge_table_matches_successors_and_evaluate_edge():
                         expect = [(p, d, evaluate_edge(pose, p, stack, lib))
                                   for p, d in successors(pose, lib, w, h)]
                         on_map += len(expect)
-                        expect = tuple(e for e in expect if e[2].valid_in_any)
+                        expect = tuple(e for e in expect if True in e[2].valid)
                         row = problem.edges(pose)
                         assert type(row) is tuple and row == expect
                         assert problem.edges(pose) == row
@@ -745,12 +780,17 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     subtree.append(grow(nd, 1, 1, 2.0))
     sibling = grow(root, 0, 1, 1.0)
     cousin = grow(sibling, 0, 2, 2.0)
+    # Goal candidates never enter the frontier: one below the revoked node,
+    # one outside its subtree.
+    goal_inside = engine.new_node(Pose(7, 7, 0), 9.0, subtree[2], 0, (9.0,), (False,), None)
+    goal_outside = engine.new_node(Pose(7, 7, 1), 9.0, cousin, 0, (9.0,), (False,), None)
+    assert engine.node_live(goal_inside) and engine.node_live(goal_outside)
 
     engine.revoke(nd)
-    for node in subtree:
+    for node in (*subtree, goal_inside):
         assert not engine.node_live(node)
     assert all(n not in engine.frontier.nodes() for n in subtree)
-    for node in (root, sibling, cousin):
+    for node in (root, sibling, cousin, goal_outside):
         assert engine.node_live(node)
     assert engine.frontier.admits(nd.pose, nd.g, nd.hyp_g, nd.pending)
     fresh = grow(sibling, 1, 0, 5.0)

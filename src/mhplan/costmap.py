@@ -206,6 +206,14 @@ class HypothesisStack:
             bits |= int.from_bytes(cmap.lethal_mask, "little")
         return bits.to_bytes(len(self.maps[0].cells), "little")
 
+    @cached_property
+    def divergence(self) -> bytes | None:
+        """The maps' :func:`~mhplan.lattice.divergence_mask`, built on first
+        access and kept: 1 per cell where some map differs from the primary."""
+        from .lattice import divergence_mask  # lattice imports this module
+
+        return divergence_mask(self.maps)
+
     def single(self, index: int) -> "HypothesisStack":
         """One-map view of hypothesis ``index`` (0 gives the primary-only view)."""
         return HypothesisStack((self.maps[index],))

@@ -420,7 +420,8 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
     :meth:`PrimitiveLibrary.geometry`; any other is costed from its own
     fields.  An edge that leaves the map is invalid in every hypothesis, as
     in :meth:`Trajectory.collision_free`.  The cost comes from
-    :func:`evaluate_at`, against the stack's :func:`divergence_mask`.
+    :func:`evaluate_at`, against the stack's cached :func:`divergence_mask`
+    (``stack.divergence``).
     """
     width = stack.width
     height = stack.height
@@ -434,7 +435,7 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
         offsets = tuple(oy * width + ox for ox, oy in prim.swept)
         nominal = lib.duration(prim)
     ev = evaluate_at(pose.y * width + pose.x, offsets, nominal, stack.maps,
-                     divergence_mask(stack.maps))
+                     stack.divergence)
     if ev is None:
         return EdgeEvaluation((False,) * n, (None,) * n)
     return ev

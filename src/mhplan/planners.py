@@ -29,12 +29,19 @@ mask is the primary's lethal cells for SH and the cells lethal in any
 hypothesis for VEH, exactly the cells their policies never let an edge
 sweep, so the bound stays admissible.  On a one-map stack every mode is SH
 and uses SH's field.  PEH, GEH and GEGRH on several maps keep the
-straight-line heuristic: with a field, the scalar-g duplicate detection of
-GEH and GEGRH (``BestGTable``, which can shadow a path intact in the primary
-behind a cheaper broken one) turned a solvable replanning cycle into
-``no-plan``, and PEH's repairs changed.  Nested detour searches keep it too:
-a field per detour spends the detour's small budget share on cells, which
-left more repairs unsolved.
+straight-line heuristic.  For GEH and GEGRH a field over the cells lethal in
+every hypothesis cut expansions but raised virtual time: each closed cell
+costs a tick, and their goal reroutes, which a field would shorten, are rare.
+With a field PEH's repairs changed.  Nested detour searches keep it too: a
+field per detour spends the detour's small budget share on cells, which left
+more repairs unsolved.
+
+Duplicate detection is the engine's :class:`~mhplan.search_core.BestGTable`,
+the cheapest node per (pose, primary pending flag), except for PEH, which
+keeps an antichain over histories
+(:class:`~mhplan.search_core.HistoryFrontier`).  Keyed on the flag, a node
+whose primary history is pending never shadows an intact one, so with an
+unlimited budget GEH and GEGRH plan wherever the primary map has a plan.
 
 Each nested detour search gets ``DEFAULT_REROUTE_FRACTION`` of the outer
 search's remaining budget.  A diverged secondary hypothesis that cannot reach
@@ -105,7 +112,17 @@ def _geh_policy(engine, node, prim, ev, dst):
     baseline cost on every edge (the primary's own cost where it can follow,
     the baseline where it is pending), and goal candidates, whose g the goal
     hook rewrites, are never expanded.
+
+    That tally and the child's primary pending flag are all the frontier
+    reads, so a child it would refuse is refused here, before the
+    per-hypothesis histories are built; a goal candidate never meets the
+    frontier.
     """
+    valid = ev.valid[0]
+    g = node.hyp_g[0] + (ev.cost[0] if valid else histories.baseline_cost(ev))
+    if (not engine.in_goal_region(dst)
+            and not engine.frontier.admits(dst, g, None, (node.pending[0] or not valid,))):
+        return None
     hyp_g, pending = histories.advance(node, ev)
     return (hyp_g[0], hyp_g, pending, None)
 
@@ -378,9 +395,13 @@ def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
         rerouter = Rerouter(stack, lib, trace)
         if mode is PlannerMode.PEH:
             policy, hook = _make_peh_policy(rerouter), _peh_goal_hook
-            # Scalar-g duplicate detection would let an equal-g node with a
-            # worse per-hypothesis history shadow a clean path, so keep
-            # incomparable histories side by side.
+            # PEH's g averages its tallies, and a pending tally is a
+            # placeholder until a later repair replaces it, so the least-g
+            # node at a pose, even per primary pending flag, can shadow the
+            # one whose repairs end cheapest: keep incomparable histories
+            # side by side.  On 204 seeded stacks (16², 24², 32², n=2-3,
+            # unlimited budget) the keyed table raised PEH's cost on 3
+            # (test_peh_keeps_incomparable_histories pins one).
             frontier = HistoryFrontier()
         else:
             policy = _geh_policy

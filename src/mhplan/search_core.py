@@ -48,7 +48,6 @@ from .lattice import (
     Pose,
     PrimitiveLibrary,
     Trajectory,
-    divergence_mask,
     evaluate_at,
     evaluate_edge,
 )
@@ -377,10 +376,10 @@ class SearchProblem:
     says so, the rule :func:`blocked_origins` reads too, and any other is
     costed through :func:`~mhplan.lattice.evaluate_at`, the one edge-cost
     kernel, against the stack's divergence mask
-    (:func:`~mhplan.lattice.divergence_mask`), built once per problem and
-    None for a single map.  The table holds nothing that depends on the
-    start or goal, so problems over the same stack may share one by passing
-    ``table``; it lives as long as its problems do.
+    (:attr:`~mhplan.costmap.HypothesisStack.divergence`), built once per
+    stack and None for a single map.  The table holds nothing that depends on
+    the start or goal, so problems over the same stack may share one by
+    passing ``table``; it lives as long as its problems do.
 
     ``mask`` has one byte per cell, nonzero where a cell blocks every edge
     the search may take through it.  With a mask the search's heuristic is a
@@ -401,7 +400,7 @@ class SearchProblem:
         self.goal = goal
         self.table: dict[int, EdgeEvaluation | None] = {} if table is None else table
         self.mask = mask
-        self.divergence = divergence_mask(stack.maps)
+        self.divergence = stack.divergence
         # What edges() reads on every call, fetched once (the stack's width
         # and height are properties).
         width = stack.width
@@ -486,31 +485,38 @@ def _default_goal_hook(engine, node) -> str:
 
 
 class BestGTable:
-    """Cheapest-node-per-pose duplicate detection (scalar g).
+    """Cheapest node per (pose, primary pending flag) duplicate detection.
+
+    A node whose primary history is pending (broken, waiting for a repair)
+    never shadows one whose primary history is intact, nor the reverse: each
+    flag keeps its own least-g node per pose.  Among primary-intact nodes at
+    a pose the least g is exact for primary reachability, so no intact path,
+    and no intact goal candidate, is lost behind a cheaper broken one.  A
+    search whose nodes are never pending (SH, VEH) uses one of the two dicts.
 
     It reads a kept node's ``g`` directly: only goal candidates have their
     ``g`` rewritten, and they never enter the frontier.
     """
 
     def __init__(self):
-        self._best: dict[Pose, SearchNode] = {}
+        self._best: tuple[dict[Pose, SearchNode], dict[Pose, SearchNode]] = ({}, {})
 
     def admits(self, pose: Pose, g: float, hyp_g, pending) -> bool:
-        held = self._best.get(pose)
+        held = self._best[pending[0]].get(pose)
         return held is None or g < held.g
 
     def record(self, node: SearchNode) -> None:
-        self._best[node.pose] = node
+        self._best[node.pending[0]][node.pose] = node
 
     def current(self, node: SearchNode) -> bool:
-        return self._best.get(node.pose) is node
+        return self._best[node.pending[0]].get(node.pose) is node
 
     def purge(self, removed) -> None:
-        self._best = {pose: held for pose, held in self._best.items()
-                      if not removed(held)}
+        self._best = tuple({pose: held for pose, held in best.items() if not removed(held)}
+                           for best in self._best)
 
     def nodes(self) -> list[SearchNode]:
-        return list(self._best.values())
+        return [*self._best[False].values(), *self._best[True].values()]
 
 
 class HistoryFrontier:

@@ -297,6 +297,9 @@ def test_criterion_7_directional_medians():
         assert med_dur["GEGRH"] <= med_dur["VEH"]
         assert med_dur["SH"] <= med_dur["GEGRH"]
         assert med_dur["SH"] <= med_dur["VEH"]
+        # The medians are over planned stacks: every mode plans all 100.
+        assert {mode: sum(r.status == "solved" for r in suite.records if r.mode == mode)
+                for mode in SUITE_MODES} == {mode: 100 for mode in SUITE_MODES}
         assert elapsed < 600.0
         _FIRST_SUITE["records"] = suite.records
 

@@ -13,8 +13,8 @@ from mhplan.histories import DIRECT, REROUTED, record_expansion, records
 from mhplan.lattice import Pose, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference
 from mhplan.planners import MODES, PlannerMode, Rerouter, plan, reroute
-from mhplan.search_core import (AnytimeConfig, PlanningInputError, SearchProblem, SearchTrace,
-                                VirtualClock)
+from mhplan.search_core import (AnytimeConfig, BestGTable, PlanningInputError, SearchProblem,
+                                SearchTrace, VirtualClock)
 
 LIB = default_library()
 UNLIMITED = AnytimeConfig(time_budget=math.inf)
@@ -252,6 +252,42 @@ def test_peh_never_beaten_by_veh():
         peh = plan("PEH", stack, start, goal, GREEDY_FREE)
         assert peh.status == "solved", seed
         assert peh.cost <= veh.cost + 1e-9, seed
+
+
+def test_every_mode_plans_wherever_sh_plans():
+    # With an unlimited budget, a plan in the primary map is a plan for PEH,
+    # GEH and GEGRH too.  GEH and GEGRH returned no-plan on 8 of these 48
+    # stacks (all 24x24) while a node whose primary history was pending could
+    # shadow a costlier intact one at its pose.
+    planned = 0
+    for size in (16, 24):
+        start, goal = clutter_endpoints(size)
+        for n in (2, 3):
+            for seed in range(12):
+                stack = gen_clutter(size, size, seed, 0.15, n, 2,
+                                    keep_free=(start.cell(), goal.cell()))
+                if plan("SH", stack, start, goal, UNLIMITED).status != "solved":
+                    continue
+                planned += 1
+                for mode in ("PEH", "GEH", "GEGRH"):
+                    res = plan(mode, stack, start, goal, UNLIMITED)
+                    assert res.status == "solved", (size, n, seed, mode)
+    assert planned == 48
+
+
+def test_peh_keeps_incomparable_histories(monkeypatch):
+    # PEH's g is the mean of its tallies, and a pending tally is a placeholder
+    # until a later repair replaces it, so the least-g node at a pose is not
+    # always the one whose repairs end cheapest.  On this stack the one table
+    # GEH uses, cheapest node per (pose, primary pending flag), settles for a
+    # dearer plan than PEH's antichain over histories.
+    start, goal = clutter_endpoints(16)
+    stack = gen_clutter(16, 16, 13, 0.15, 3, 2, keep_free=(start.cell(), goal.cell()))
+    res = plan("PEH", stack, start, goal, UNLIMITED)
+    assert (res.status, res.cost, res.duration) == ("solved", 13.0, 14.0)
+    monkeypatch.setattr(planners, "HistoryFrontier", BestGTable)
+    res = plan("PEH", stack, start, goal, UNLIMITED)
+    assert (res.status, res.cost, res.duration) == ("solved", 13.5, 13.5)
 
 
 # -- derived history records -------------------------------------------------

@@ -552,6 +552,25 @@ def test_divergence_mask_matches_a_per_cell_reference():
     assert divergence_mask((primary, CostMap(3, 1, 1.0, (0, 150, 254), 200))) is None
 
 
+def test_stack_builds_its_divergence_mask_once(monkeypatch):
+    from mhplan import lattice
+
+    calls = []
+
+    def counted(maps):
+        calls.append(maps)
+        return divergence_mask(maps)
+
+    monkeypatch.setattr(lattice, "divergence_mask", counted)
+    stack = gen_clutter(12, 12, 3, 0.15, 3, 2)
+    for _ in range(2):
+        problem = SearchProblem(stack, LIB, Pose(0, 0, 0), Pose(11, 11, 0))
+        evaluate_edge(Pose(5, 5, 0), LIB.by_heading[0][0], stack, LIB)
+    assert problem.divergence is stack.divergence == divergence_mask(stack.maps)
+    assert problem.divergence is not None
+    assert calls == [stack.maps]
+
+
 def test_edge_table_shares_one_evaluation_across_headings():
     lib = _shape_sharing_library()
     assert lib.n_shapes == 3
@@ -735,6 +754,33 @@ def test_best_g_table_keeps_single_cheapest():
     assert not table.current(b)
 
 
+def test_best_g_table_keys_on_the_primary_pending_flag():
+    table = BestGTable()
+    pose = Pose(2, 2, 0)
+    broken = histnode(1, pose, (3.0, 3.0), (True, False))
+    table.record(broken)
+    # A cheaper node with a pending primary does not shadow an intact one...
+    assert table.admits(pose, 5.0, (5.0, 5.0), (False, False))
+    assert not table.admits(pose, 4.0, (4.0, 4.0), (True, True))
+    intact = histnode(2, pose, (5.0, 5.0), (False, False))
+    table.record(intact)
+    assert table.current(broken) and table.current(intact)
+    # ...nor the reverse, and each flag keeps its own cheapest node.
+    assert not table.admits(pose, 6.0, (6.0, 6.0), (True, False))
+    assert table.admits(pose, 2.0, (2.0, 2.0), (True, False))
+    assert table.admits(pose, 4.0, (4.0, 4.0), (False, True))
+    assert not table.admits(pose, 5.0, (5.0, 5.0), (False, True))
+    assert set(table.nodes()) == {broken, intact}
+    table.purge(lambda n: n is broken)
+    assert table.nodes() == [intact]
+    assert table.admits(pose, 9.0, (9.0, 9.0), (True, False))
+    table.record(broken)
+    table.purge(lambda n: n is intact)
+    assert table.nodes() == [broken]
+    assert not table.current(intact)
+    assert table.admits(pose, 9.0, (9.0, 9.0), (False, False))
+
+
 def test_history_frontier_keeps_incomparable_nodes():
     table = HistoryFrontier()
     pose = Pose(2, 2, 0)
@@ -768,8 +814,8 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     problem = SearchProblem(free_stack(8, 8), LIB, Pose(0, 0, 0), Pose(7, 7, 0))
     engine = AnytimeSearch(problem, AnytimeConfig(), None, frontier=frontier())
 
-    def grow(parent, x, y, g):
-        node = engine.new_node(Pose(x, y, 0), g, parent, 0, (g,), (False,), None)
+    def grow(parent, x, y, g, pending=False):
+        node = engine.new_node(Pose(x, y, 0), g, parent, 0, (g,), (pending,), None)
         engine.frontier.record(node)
         return node
 
@@ -778,8 +824,12 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     subtree = [nd, grow(nd, 2, 0, 2.0)]
     subtree.append(grow(subtree[1], 3, 0, 3.0))
     subtree.append(grow(nd, 1, 1, 2.0))
+    # A node whose primary history is pending, beside an intact one at its
+    # pose, inside the subtree and out of it.
+    subtree.append(grow(subtree[1], 3, 0, 2.5, pending=True))
     sibling = grow(root, 0, 1, 1.0)
     cousin = grow(sibling, 0, 2, 2.0)
+    broken_cousin = grow(sibling, 1, 1, 1.5, pending=True)
     # Goal candidates never enter the frontier: one below the revoked node,
     # one outside its subtree.
     goal_inside = engine.new_node(Pose(7, 7, 0), 9.0, subtree[2], 0, (9.0,), (False,), None)
@@ -790,9 +840,11 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     for node in (*subtree, goal_inside):
         assert not engine.node_live(node)
     assert all(n not in engine.frontier.nodes() for n in subtree)
-    for node in (root, sibling, cousin, goal_outside):
+    for node in (root, sibling, cousin, broken_cousin, goal_outside):
         assert engine.node_live(node)
-    assert engine.frontier.admits(nd.pose, nd.g, nd.hyp_g, nd.pending)
+    assert set(engine.frontier.nodes()) == {root, sibling, cousin, broken_cousin}
+    for node in subtree:
+        assert engine.frontier.admits(node.pose, node.g, node.hyp_g, node.pending)
     fresh = grow(sibling, 1, 0, 5.0)
     assert engine.node_live(fresh)
 

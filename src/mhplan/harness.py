@@ -56,12 +56,9 @@ class StackSource:
         elif self.kind not in BUILTIN_NAMES:
             raise ScenarioError(f"unknown stack source {self.kind!r}")
 
-    def resolve(self, base_dir: str = ".") -> HypothesisStack:
+    def resolve(self) -> HypothesisStack:
         if self.kind == "file":
-            path = self.path
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            return load_stack(path)
+            return load_stack(self.path)
         return _build_stack(self.kind, dict(self.params))
 
 

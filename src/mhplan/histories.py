@@ -177,22 +177,26 @@ def last_intact(node, h: int):
     raise HistoryError(f"hypothesis {h} has no intact ancestor")
 
 
-def reconstruct(node, h: int) -> list[EdgeRecord]:
-    """Ordered edge records of hypothesis ``h`` along the chain to ``node``.
+def reconstruct(node, h: int, since=None) -> list[EdgeRecord]:
+    """Ordered edge records of hypothesis ``h`` along the chain to ``node``,
+    from the root, or only those of the nodes below ``since`` when it is given.
 
-    Raises :class:`HistoryError` when the history is pending at the tip or the
-    collected records do not chain contiguously.
+    Raises :class:`HistoryError` when the history is pending at the tip,
+    ``since`` is not an ancestor of ``node``, or the collected records do not
+    chain contiguously.
     """
     if node.pending[h]:
         raise HistoryError(f"hypothesis {h} is pending at the requested node")
     out: list[EdgeRecord] = []
-    for cur in _chain(node):
+    cur = node
+    while cur is not since:
+        if cur is None:
+            raise HistoryError("the node to reconstruct from is not an ancestor")
         recs = records(cur)
-        if recs is None:
-            continue
-        rec = recs[h]
-        if rec is not None:
-            out.append(rec)
+        if recs is not None and recs[h] is not None:
+            out.append(recs[h])
+        cur = cur.parent
+    out.reverse()
     tail: Pose | None = None
     for rec in out:
         if tail is not None and rec.src.cell() != tail.cell():

@@ -20,9 +20,8 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
 * ``GEGRH`` is GEH plus graph revision: after a goal-edge update the candidate
             is rewired past the earliest divergence point and that stale
             subtree is dropped, concentrating further effort where the world
-            hypotheses actually disagree.  Each distinct (goal candidate,
-            divergence node) pair is revised at most once, which bounds the
-            revision loop.
+            hypotheses actually disagree.  Each goal candidate is updated,
+            and so revised, at most once, which bounds the revision loop.
 
 SH and VEH search with a :class:`~mhplan.search_core.CostToGo` heuristic: its
 mask is the primary's lethal cells for SH and the cells lethal in any
@@ -59,9 +58,6 @@ from .costmap import HypothesisStack
 from .histories import REROUTED, EdgeRecord, HistoryError
 from .lattice import Pose, PrimitiveLibrary, Trajectory, shared_default_library
 from .search_core import (
-    ACCEPT,
-    CONTINUE,
-    DROP,
     AnytimeConfig,
     AnytimeSearch,
     HistoryFrontier,
@@ -174,19 +170,15 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
 
 def _peh_goal_hook(engine, node):
     # A goal candidate without an intact primary history cannot be executed.
-    return DROP if node.pending[0] else ACCEPT
+    return not node.pending[0]
 
 
 def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
-    revision_guard: set[tuple[int, int]] = set()
-
     def hook(engine, node):
-        if node.goal_updated:
-            return ACCEPT
-        if not any(node.pending):
-            return ACCEPT  # consistent candidate, nothing to reconcile
+        if node.goal_updated or not any(node.pending):
+            return True  # updated already, or nothing to reconcile
         info = histories.divergence_point(node)
-        parent_g = node.parent.g if node.parent is not None else 0.0
+        parent_g = node.parent.g  # a pending node is never the root
         goal_edge = node.g - parent_g
         terms = [goal_edge]
         n = len(node.pending)
@@ -201,7 +193,7 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
             traj = rerouter.reroute(engine, anchor.pose, goal_cell, h)
             if traj is None:
                 if h == 0:
-                    return DROP  # primary trajectory cannot be realized
+                    return False  # primary trajectory cannot be realized
                 terms.append(DEFAULT_REROUTE_PENALTY * goal_edge)
             else:
                 terms.append(traj.duration)
@@ -217,33 +209,17 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
         node.goal_updated = True
         if engine.trace is not None:
             engine.trace.goal_updates.append((node.nid, tuple(terms), new_edge))
+        # A candidate is updated at most once (every later pop returns at
+        # the top), so it is revised at most once too.
         if revise and info.first_break is not None:
-            key = (node.nid, info.first_break.nid)
-            if key not in revision_guard:
-                revision_guard.add(key)
-                graph_revision(engine, node, info.first_break)
+            graph_revision(engine, node, info.first_break)
         engine.reinsert(node)
-        return CONTINUE
+        return False
 
     return hook
 
 
 # -- graph revision ----------------------------------------------------------
-
-
-def _segment_records(goal_node, stop_node, h: int) -> list[EdgeRecord]:
-    """Records for hypothesis ``h`` strictly below ``stop_node`` up to the goal."""
-    recs: list[EdgeRecord] = []
-    cur = goal_node
-    while cur is not None and cur is not stop_node:
-        node_recs = histories.records(cur)
-        if node_recs is not None and node_recs[h] is not None:
-            recs.append(node_recs[h])
-        cur = cur.parent
-    if cur is None:
-        raise HistoryError("revision target is not an ancestor of the goal candidate")
-    recs.reverse()
-    return recs
 
 
 def _consolidate_goal_edges(goal_node, new_parent) -> None:
@@ -259,7 +235,7 @@ def _consolidate_goal_edges(goal_node, new_parent) -> None:
         if is_pending:
             edges.append(None)
             continue
-        seg = _segment_records(goal_node, new_parent, h)
+        seg = histories.reconstruct(goal_node, h, since=new_parent)
         detour = histories.stitch(seg, new_parent.pose)
         edges.append(
             EdgeRecord(REROUTED, detour.duration, new_parent.pose, goal_node.pose,
@@ -331,9 +307,7 @@ class Rerouter:
         cmap = self.stack.maps[h]
         result = None
         if not cmap.is_lethal(*target_cell) and not cmap.is_lethal(anchor.x, anchor.y):
-            remaining = engine.remaining_budget()
-            budget = (math.inf if math.isinf(remaining)
-                      else DEFAULT_REROUTE_FRACTION * remaining)
+            budget = DEFAULT_REROUTE_FRACTION * engine.remaining_budget()
             if budget > 0.0:
                 engine.reroutes += 1
                 result = reroute(

@@ -4,8 +4,13 @@ The engine owns the open list, the duplicate-detection frontier, revocation
 of stale subtrees, the inflation schedule, and the time budget.  Planner
 variants plug in through two callbacks: ``expand_policy`` decides whether an
 edge is admitted and what per-hypothesis bookkeeping the child carries, and
-``goal_hook`` decides what happens when a goal node is popped (immediate
-acceptance, cost update plus reinsertion, or discard).
+``goal_hook(engine, node)`` answers yes or no for each goal candidate the
+search pops: True accepts it, False skips it.  A hook that updates a
+candidate's cost pushes it back with :meth:`AnytimeSearch.reinsert` before
+it answers False, so the search meets it again at its new key.  Without a
+hook every candidate is accepted.  One loop pops, expands and accepts; each
+accepted candidate lowers the inflation and rekeys the open list, until the
+final inflation is reached, the budget runs out or the open list empties.
 
 A policy returns ``(g, hyp_g, pending, edges)`` for the child, with
 ``edges=None`` unless some of the child's history records are not the direct
@@ -51,10 +56,6 @@ from .lattice import (
     evaluate_at,
     evaluate_edge,
 )
-
-ACCEPT = "accept"
-CONTINUE = "continue"
-DROP = "drop"
 
 STATUS_SOLVED = "solved"
 STATUS_TIMEOUT = "timeout-with-incumbent"
@@ -279,21 +280,21 @@ class SearchNode:
     ``edges`` holds the per-hypothesis history records only where some of
     them is not the direct record of that edge (a repair's detour, a goal
     candidate's rewritten history); otherwise it is None and
-    :func:`~mhplan.histories.records` derives them from ``ev``.
+    :func:`~mhplan.histories.records` derives them from ``ev``.  A node
+    holds no open-list key; the engine computes one each time it pushes it.
     """
 
     __slots__ = (
-        "nid", "pose", "g", "f", "parent", "prim_id",
+        "nid", "pose", "g", "parent", "prim_id",
         "hyp_g", "pending", "edges", "ev", "invalid", "goal_updated",
     )
 
-    def __init__(self, nid: int, pose: Pose, g: float, f: float, parent, prim_id: int,
+    def __init__(self, nid: int, pose: Pose, g: float, parent, prim_id: int,
                  hyp_g: tuple[float, ...], pending: tuple[bool, ...], edges,
                  ev: EdgeEvaluation | None = None):
         self.nid = nid
         self.pose = pose
         self.g = g
-        self.f = f
         self.parent = parent
         self.prim_id = prim_id
         self.hyp_g = hyp_g
@@ -480,10 +481,6 @@ class SearchTrace:
     nodes: dict = field(default_factory=dict)        # nid -> SearchNode
 
 
-def _default_goal_hook(engine, node) -> str:
-    return ACCEPT
-
-
 class BestGTable:
     """Cheapest node per (pose, primary pending flag) duplicate detection.
 
@@ -570,7 +567,7 @@ class AnytimeSearch:
         self.problem = problem
         self.cfg = cfg
         self.expand_policy = expand_policy
-        self.goal_hook = goal_hook or _default_goal_hook
+        self.goal_hook = goal_hook
         self.clock = clock if clock is not None else VirtualClock()
         self.trace = trace
 
@@ -612,21 +609,16 @@ class AnytimeSearch:
         return self.cfg.time_budget - self.elapsed()
 
     def new_node(self, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None,
-                 h: float | None = None) -> SearchNode:
-        if h is None:
-            h = self.h(pose)
-        node = SearchNode(self._next_nid, pose, g, g + self.eps * h,
-                          parent, prim_id, hyp_g, pending, edges, ev)
+                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None) -> SearchNode:
+        node = SearchNode(self._next_nid, pose, g, parent, prim_id, hyp_g, pending, edges, ev)
         self._next_nid += 1
         if self.trace is not None:
             self.trace.nodes[node.nid] = node
         return node
 
     def reinsert(self, node: SearchNode) -> None:
-        """Push a (possibly updated) node back onto the open list at current keys."""
-        node.f = node.g + self.eps * self.h(node.pose)
-        self.open.push(node, node.f)
+        """Push a (possibly updated) node onto the open list at the current key."""
+        self.open.push(node, node.g + self.eps * self.h(node.pose))
 
     def node_live(self, node: SearchNode) -> bool:
         """Validity filter used for pops, rekeys, and snapshots.
@@ -720,38 +712,40 @@ class AnytimeSearch:
             hyp_g=(0.0,) * n, pending=(False,) * n, edges=None,
         )
         self.frontier.record(start)
-        self.open.push(start, start.f)
+        self.reinsert(start)
 
+        cfg, hook = self.cfg, self.goal_hook
         incumbent: SearchNode | None = None
         incumbent_eps: float | None = None
-        status = STATUS_NO_PLAN
-
         while True:
-            outcome, node = self._run_round()
-            if outcome == ACCEPT:
-                if self.trace is not None:
-                    self.trace.rounds.append((self.eps, node.g))
-                if incumbent is None or node.g <= incumbent.g:
-                    incumbent = node
-                    incumbent_eps = self.eps
-                if self.eps <= self.cfg.final_inflation:
-                    status = STATUS_SOLVED
-                    break
-                self.eps = max(self.cfg.final_inflation, self.eps - self.cfg.inflation_step)
-                self.reinsert(node)
-                self.open.rekey(lambda m: m.g + self.eps * self.h(m.pose), self.node_live)
-                continue
-            if outcome == "exhausted":
-                status = STATUS_SOLVED if incumbent is not None else STATUS_NO_PLAN
+            if self.elapsed() >= cfg.time_budget:
+                status = STATUS_TIMEOUT
                 break
-            # timeout
-            status = STATUS_TIMEOUT if incumbent is not None else STATUS_NO_PLAN
-            break
+            node = self.open.pop_valid(self.node_live)
+            if node is None:
+                status = STATUS_SOLVED  # the open list is exhausted
+                break
+            if not self.in_goal_region(node.pose):
+                self._expand(node)
+                continue
+            if hook is not None and not hook(self, node):
+                continue  # skipped; a hook that updated the node reinserted it
+            if self.trace is not None:
+                self.trace.rounds.append((self.eps, node.g))
+            if incumbent is None or node.g <= incumbent.g:
+                incumbent = node
+                incumbent_eps = self.eps
+            if self.eps <= cfg.final_inflation:
+                status = STATUS_SOLVED
+                break
+            self.eps = max(cfg.final_inflation, self.eps - cfg.inflation_step)
+            self.reinsert(node)
+            self.open.rekey(lambda m: m.g + self.eps * self.h(m.pose), self.node_live)
 
-        trajectory = None
-        cost = None
-        duration = None
-        if incumbent is not None:
+        trajectory = cost = duration = None
+        if incumbent is None:
+            status = STATUS_NO_PLAN
+        else:
             trajectory = extract_solution(incumbent, 0)
             cost = incumbent.g
             duration = trajectory.duration
@@ -766,22 +760,6 @@ class AnytimeSearch:
             final_inflation=self.eps if incumbent_eps is None else incumbent_eps,
             field_cells=0 if self.field is None else self.field.cells_closed,
         )
-
-    def _run_round(self) -> tuple[str, SearchNode | None]:
-        while True:
-            if self.elapsed() >= self.cfg.time_budget:
-                return ("timeout", None)
-            node = self.open.pop_valid(self.node_live)
-            if node is None:
-                return ("exhausted", None)
-            if self.in_goal_region(node.pose):
-                decision = self.goal_hook(self, node)
-                if decision == ACCEPT:
-                    return (ACCEPT, node)
-                if decision in (CONTINUE, DROP):
-                    continue
-                raise RuntimeError(f"goal hook returned unknown decision {decision!r}")
-            self._expand(node)
 
     def _expand(self, node: SearchNode) -> None:
         self.expansions += 1
@@ -804,10 +782,10 @@ class AnytimeSearch:
                 h = h_of(dst)
                 if h == inf:
                     continue  # the goal region is unreachable from dst
-            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev, h)
+            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev)
             if not at_goal:
                 self.frontier.record(child)
-            self.open.push(child, child.f)
+            self.open.push(child, g_child + self.eps * h)
 
 
 def extract_solution(node: SearchNode, hypothesis_index: int) -> Trajectory:

@@ -211,6 +211,24 @@ def test_reconstruct_rejects_gap():
         reconstruct(bad, 0)
 
 
+def test_reconstruct_since_an_ancestor_returns_the_tail():
+    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)],
+                     [(False, False), (False, False), (False, False)])
+    tip = nodes[-1]
+    for h in (0, 1):
+        full = reconstruct(tip, h)
+        assert len(full) == 3
+        assert reconstruct(tip, h, since=None) == full
+        # full[i] is the record of the edge into nodes[i + 1].
+        for i, ancestor in enumerate(nodes):
+            assert reconstruct(tip, h, since=ancestor) == full[i:]
+    stranger = node(Pose(1, 0, 0), nodes[0])
+    with pytest.raises(HistoryError, match="not an ancestor"):
+        reconstruct(tip, 0, since=stranger)
+    with pytest.raises(HistoryError, match="not an ancestor"):
+        reconstruct(nodes[1], 0, since=tip)
+
+
 def test_stitch_splices_detour_steps():
     start = Pose(0, 0, 0)
     mid = Pose(1, 0, 0)

@@ -275,6 +275,32 @@ def test_every_mode_plans_wherever_sh_plans():
     assert planned == 48
 
 
+def test_each_goal_candidate_is_updated_and_revised_at_most_once():
+    # The goal hook updates a candidate at most once and revises only when
+    # it updates, so GEGRH needs no guard against revising a (candidate,
+    # divergence node) pair twice.  Same stacks as above.
+    updates = revisions = 0
+    for size in (16, 24):
+        start, goal = clutter_endpoints(size)
+        for n in (2, 3):
+            for seed in range(12):
+                stack = gen_clutter(size, size, seed, 0.15, n, 2,
+                                    keep_free=(start.cell(), goal.cell()))
+                for mode in ("GEH", "GEGRH"):
+                    trace = SearchTrace()
+                    plan(mode, stack, start, goal, UNLIMITED, trace=trace)
+                    updated = [nid for nid, _terms, _edge in trace.goal_updates]
+                    revised = [event.goal_nid for event in trace.revisions]
+                    assert len(updated) == len(set(updated)), (size, n, seed, mode)
+                    assert len(revised) == len(set(revised)), (size, n, seed, mode)
+                    assert set(revised) <= set(updated), (size, n, seed, mode)
+                    if mode == "GEH":
+                        assert not revised
+                    updates += len(updated)
+                    revisions += len(revised)
+    assert updates > revisions > 0
+
+
 def test_peh_keeps_incomparable_histories(monkeypatch):
     # PEH's g is the mean of its tallies, and a pending tally is a placeholder
     # until a later repair replaces it, so the least-g node at a pose is not

@@ -648,38 +648,38 @@ def test_wall_clock_moves_forward():
 # -- open list ---------------------------------------------------------------
 
 
-def mknode(nid, pose, g, f):
-    return SearchNode(nid, pose, g, f, None, -1, (g,), (False,), None)
+def mknode(nid, pose, g):
+    return SearchNode(nid, pose, g, None, -1, (g,), (False,), None)
 
 
 def test_open_list_orders_by_f_then_larger_g():
     ol = OpenList()
-    a = mknode(1, Pose(0, 0, 0), 1.0, 5.0)
-    b = mknode(2, Pose(1, 0, 0), 3.0, 5.0)  # same f, deeper
-    c = mknode(3, Pose(2, 0, 0), 1.0, 4.0)
-    for n in (a, b, c):
-        ol.push(n, n.f)
+    a = mknode(1, Pose(0, 0, 0), 1.0)
+    b = mknode(2, Pose(1, 0, 0), 3.0)
+    c = mknode(3, Pose(2, 0, 0), 1.0)
+    for n, f in ((a, 5.0), (b, 5.0), (c, 4.0)):  # b: same f as a, deeper
+        ol.push(n, f)
     order = [ol.pop_valid(lambda n: True) for _ in range(3)]
     assert order == [c, b, a]
 
 
 def test_open_list_tie_break_is_total():
     ol = OpenList()
-    a = mknode(1, Pose(2, 1, 0), 1.0, 5.0)
-    b = mknode(2, Pose(1, 2, 0), 1.0, 5.0)
-    ol.push(a, a.f)
-    ol.push(b, b.f)
+    a = mknode(1, Pose(2, 1, 0), 1.0)
+    b = mknode(2, Pose(1, 2, 0), 1.0)
+    ol.push(a, 5.0)
+    ol.push(b, 5.0)
     # Same f and g: lexicographic pose order decides (x first).
     assert ol.pop_valid(lambda n: True) is b
 
 
 def test_open_list_rekey_drops_and_dedups():
     ol = OpenList()
-    a = mknode(1, Pose(0, 0, 0), 1.0, 10.0)
-    b = mknode(2, Pose(1, 0, 0), 2.0, 12.0)
-    ol.push(a, a.f)
-    ol.push(a, a.f)  # duplicate entry
-    ol.push(b, b.f)
+    a = mknode(1, Pose(0, 0, 0), 1.0)
+    b = mknode(2, Pose(1, 0, 0), 2.0)
+    ol.push(a, 10.0)
+    ol.push(a, 10.0)  # duplicate entry
+    ol.push(b, 12.0)
     ol.rekey(lambda n: n.g, lambda n: n.nid != 2)
     assert len(ol) == 1
     assert ol.pop_valid(lambda n: True) is a
@@ -693,7 +693,7 @@ def test_open_list_rekey_pops_like_pushes_in_nid_order():
     rng = random.Random(3)
     for _ in range(30):
         nodes = [mknode(nid, Pose(rng.randrange(3), rng.randrange(3), rng.randrange(2)),
-                        rng.choice((0.5, 1.0, 1.5)), 0.0) for nid in range(40)]
+                        rng.choice((0.5, 1.0, 1.5))) for nid in range(40)]
         ol = OpenList()
         pushed = {}
         for _ in range(60):
@@ -722,10 +722,10 @@ def test_open_list_rekey_pops_like_pushes_in_nid_order():
 
 def test_open_list_pop_skips_invalid():
     ol = OpenList()
-    a = mknode(1, Pose(0, 0, 0), 1.0, 1.0)
-    b = mknode(2, Pose(1, 0, 0), 1.0, 2.0)
-    ol.push(a, a.f)
-    ol.push(b, b.f)
+    a = mknode(1, Pose(0, 0, 0), 1.0)
+    b = mknode(2, Pose(1, 0, 0), 1.0)
+    ol.push(a, 1.0)
+    ol.push(b, 2.0)
     a.invalid = True
     assert ol.pop_valid(lambda n: not n.invalid) is b
 
@@ -735,7 +735,7 @@ def test_open_list_pop_skips_invalid():
 
 def histnode(nid, pose, hyp_g, pending):
     g = sum(hyp_g) / len(hyp_g)
-    return SearchNode(nid, pose, g, g, None, -1, hyp_g, pending, None)
+    return SearchNode(nid, pose, g, None, -1, hyp_g, pending, None)
 
 
 def test_best_g_table_keeps_single_cheapest():
@@ -973,3 +973,64 @@ def test_deterministic_repeats():
     runs = [plan("SH", stack, Pose(1, 1, 0), Pose(12, 12, 0),
                  AnytimeConfig(time_budget=math.inf)) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# -- goal hooks --------------------------------------------------------------
+
+
+def direct_policy(engine, node, prim, ev, dst):
+    g = node.g + ev.cost[0]
+    return (g, (g,), (False,), None) if ev.valid[0] else None
+
+
+def hook_engine(hook, trace=None):
+    problem = SearchProblem(free_stack(6, 6), LIB, Pose(0, 0, 0), Pose(4, 3, 0))
+    return AnytimeSearch(problem, unlimited(), direct_policy, hook, trace=trace)
+
+
+def test_hook_that_skips_every_candidate_ends_in_no_plan():
+    met = []
+
+    def hook(engine, node):
+        met.append(node.nid)
+        return False
+
+    engine = hook_engine(hook)
+    res = engine.run()
+    assert res.status == "no-plan" and res.trajectory is None and res.cost is None
+    assert len(engine.open) == 0  # the open list was exhausted
+    assert len(met) == len(set(met)) > 1  # several candidates, each met once
+
+
+def test_hook_that_reinserts_once_is_accepted_on_the_second_pop():
+    met = []
+
+    def hook(engine, node):
+        met.append(node)
+        if len(met) == 1:
+            engine.reinsert(node)
+            return False
+        return True
+
+    trace = SearchTrace()
+    res = hook_engine(hook, trace).run()
+    assert res.status == "solved"
+    assert len(met) == 2 and met[0] is met[1]
+    assert trace.rounds == [(1.0, met[0].g)]
+    assert res.cost == met[0].g
+
+
+def test_no_hook_accepts_the_first_candidate():
+    met = []
+
+    def hook(engine, node):
+        met.append(node)
+        return True
+
+    with_hook = hook_engine(hook).run()
+    trace = SearchTrace()
+    without = hook_engine(None, trace).run()
+    assert len(met) == 1
+    assert without == with_hook
+    assert without.status == "solved"
+    assert trace.rounds == [(1.0, met[0].g)]

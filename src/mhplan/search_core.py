@@ -740,7 +740,10 @@ class AnytimeSearch:
                 break
             self.eps = max(cfg.final_inflation, self.eps - cfg.inflation_step)
             self.reinsert(node)
-            self.open.rekey(lambda m: m.g + self.eps * self.h(m.pose), self.node_live)
+            # The key reads locals: a closure over self would make self a
+            # cell variable, slower to read all through this loop.
+            eps, h = self.eps, self.h
+            self.open.rekey(lambda m: m.g + eps * h(m.pose), self.node_live)
 
         trajectory = cost = duration = None
         if incumbent is None:

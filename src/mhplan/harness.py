@@ -368,13 +368,17 @@ def run_suite(entries, out_path: str | None = None, jobs: int = 1) -> SuiteResul
     """Run scenarios (paths or Scenario objects) in deterministic order.
 
     Workers only parallelize execution; the merged record order always follows
-    the input order, so identical inputs give identical output files.
+    the input order, so identical inputs give identical output files.  At most
+    one worker per scenario is started; ``jobs`` below 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     entries = list(entries)
     suite = SuiteResult()
     outcomes: list[list[ResultRecord] | Exception] = [None] * len(entries)
-    if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(entries))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_entry, e) for e in entries]
             for i, fut in enumerate(futures):
                 try:

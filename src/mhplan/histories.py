@@ -1,15 +1,21 @@
 """Per-hypothesis expansion histories, divergence detection, and cost averaging.
 
 Every search node has, for each world hypothesis, the incremental edge record
-that extended that hypothesis's trajectory at this step (or a pending marker
-where the hypothesis could not follow), plus a running per-hypothesis cost
-tally.  Most records are DIRECT and follow from the node's incoming edge, so
-a node stores only the tallies and pending flags; :func:`records` rebuilds
-the records when they are read, through :func:`direct_records`.  A node
-stores its records explicitly only where some record is not the direct one:
-a REROUTED detour spliced in by a repair, or a goal candidate's rewritten
-history.  Full per-hypothesis trajectories are reconstructed by walking the
-parent chain and stitching the records together.
+that extended that hypothesis's trajectory at this step, or none where the
+hypothesis is pending (its history broke and waits for a repair).  A node's
+``pending`` is a bitmask, bit ``h`` set where hypothesis ``h`` is pending.
+Most records are DIRECT and follow from the node's incoming edge, so a node
+stores only its pending mask; :func:`records` rebuilds the records when they
+are read, through :func:`direct_records`.  A node stores its records
+explicitly only where some record is not the direct one: a REROUTED detour
+spliced in by a repair, or a goal candidate's rewritten history.  Full
+per-hypothesis trajectories are reconstructed by walking the parent chain
+and stitching the records together.
+
+Per-hypothesis cost tallies are kept on a node (``hyp_g``) only by the modes
+whose search decisions read them, VEH and PEH (:func:`advance`).  Elsewhere a
+node's g is its one tally, the primary's; :func:`divergence_point` derives
+each hypothesis's tally at its anchor from the chain's edge costs.
 """
 
 from __future__ import annotations
@@ -45,13 +51,17 @@ class DivergenceInfo:
 
     ``anchors[h]`` is the deepest node on the chain whose history for
     hypothesis ``h`` is still an exact pose-for-pose prefix of the primary
-    history (None when the hypothesis never diverged).  ``first_break`` is
-    the earliest node on the chain whose history no longer matches in some
-    hypothesis (None when none diverged); it is never the root, and its
+    history (None when the hypothesis never diverged).  ``tallies[h]`` is
+    hypothesis ``h``'s cost up to its anchor: the sum of the edge costs
+    ``ev.cost[h]`` from the root in chain order, as the incremental tally of
+    :func:`advance` folds them (None where the anchor is).  ``first_break``
+    is the earliest node on the chain whose history no longer matches in
+    some hypothesis (None when none diverged); it is never the root, and its
     parent is the shallowest anchor.
     """
 
     anchors: tuple[object | None, ...]
+    tallies: tuple[float | None, ...]
     first_break: object | None
 
 
@@ -65,51 +75,42 @@ def average_edge_cost(costs) -> float:
 def baseline_cost(evaluation: EdgeEvaluation) -> float:
     """Cost charged to hypotheses that cannot follow an edge: the cost in the
     lowest-indexed hypothesis where the edge is valid (the primary when it is)."""
-    for ok, c in zip(evaluation.valid, evaluation.cost):
-        if ok:
+    for c in evaluation.cost:
+        if c is not None:
             return c
     raise ValueError("edge is invalid in every hypothesis")
 
 
-def advance(parent, evaluation: EdgeEvaluation
-            ) -> tuple[tuple[float, ...], tuple[bool, ...]]:
-    """Per-hypothesis tallies and pending flags of a child across one direct edge.
+def advance(parent, evaluation: EdgeEvaluation) -> tuple[tuple[float, ...], int]:
+    """Per-hypothesis tallies and pending mask of a child across one direct edge.
 
-    Hypotheses whose history is intact and where the edge is valid advance by
-    their own cost.  Hypotheses that cannot follow (edge invalid, or already
-    pending at the parent) are marked pending; their tally advances by the
-    baseline cost until a reroute repairs them.
+    A hypothesis is pending at the child where it is pending at the parent
+    or the edge is invalid in it: ``parent.pending | evaluation.invalid``.
+    The others advance by their own cost; a pending hypothesis's tally
+    advances by the baseline cost until a reroute repairs it.
     """
     base = baseline_cost(evaluation)
-    hyp_g: list[float] = []
-    pending: list[bool] = []
-    for g, ok, cost, was_pending in zip(parent.hyp_g, evaluation.valid, evaluation.cost,
-                                        parent.pending):
-        if ok and not was_pending:
-            hyp_g.append(g + cost)
-            pending.append(False)
-        else:
-            hyp_g.append(g + base)
-            pending.append(True)
-    return tuple(hyp_g), tuple(pending)
+    pending = parent.pending | evaluation.invalid
+    return tuple([g + base if pending >> h & 1 else g + c
+                  for h, (g, c) in enumerate(zip(parent.hyp_g, evaluation.cost))]), pending
 
 
-def direct_records(pending, costs, src: Pose, dst: Pose,
+def direct_records(pending: int, costs, src: Pose, dst: Pose,
                    prim_id: int) -> tuple[EdgeRecord | None, ...]:
     """History increments of a child across one direct edge: a DIRECT record
-    at the hypothesis's own cost for each hypothesis that is not pending, and
-    None for each that is."""
-    return tuple([None if p else EdgeRecord(DIRECT, c, src, dst, prim_id)
-                  for p, c in zip(pending, costs)])
+    at the hypothesis's own cost for each hypothesis whose bit in ``pending``
+    is clear, and None for each whose bit is set."""
+    return tuple([None if pending >> h & 1 else EdgeRecord(DIRECT, c, src, dst, prim_id)
+                  for h, c in enumerate(costs)])
 
 
 def record_expansion(parent, evaluation: EdgeEvaluation, prim: MotionPrimitive,
-                     dst: Pose) -> tuple[tuple[float, ...], tuple[bool, ...],
+                     dst: Pose) -> tuple[tuple[float, ...], int,
                                          tuple[EdgeRecord | None, ...]]:
     """Extend the parent's per-hypothesis histories across one direct edge.
 
     Returns ``(hyp_g, pending, edges)`` for the child node: the tallies and
-    flags of :func:`advance` and the records of :func:`direct_records`.
+    mask of :func:`advance` and the records of :func:`direct_records`.
     """
     hyp_g, pending = advance(parent, evaluation)
     return hyp_g, pending, direct_records(pending, evaluation.cost, parent.pose, dst,
@@ -141,37 +142,41 @@ def _chain(node) -> list:
 
 
 def divergence_point(node) -> DivergenceInfo:
-    """Locate, per hypothesis, the last node whose history still matched the primary.
+    """Locate, per hypothesis, the last node whose history still matched the
+    primary, and that hypothesis's cost up to it.
 
     A history breaks where it is pending or where its record is REROUTED;
-    only explicitly stored ``edges`` can hold a REROUTED record.
+    only explicitly stored ``edges`` can hold a REROUTED record.  Up to the
+    break every record is DIRECT, at the cost its edge has in the hypothesis.
+    The root has no history, so nothing diverges there.
     """
     chain = _chain(node)
+    recs = records(node)
     anchors: list[object | None] = []
-    break_at: list[int | None] = []
-    for h in range(len(node.pending)):
-        anchor = None
-        idx = None
-        for i, cur in enumerate(chain):
+    tallies: list[float | None] = []
+    break_at: list[int] = []
+    for h in range(0 if recs is None else len(recs)):
+        anchor = tally = None
+        total = 0.0
+        for i in range(1, len(chain)):  # the root carries no incoming edge
+            cur = chain[i]
             rec = cur.edges[h] if cur.edges is not None else None
-            broken = cur.pending[h] or (rec is not None and rec.kind == REROUTED)
-            if broken:
-                # The root carries no incoming edge, so i >= 1 here.
-                anchor = chain[i - 1]
-                idx = i
+            if cur.pending >> h & 1 or (rec is not None and rec.kind == REROUTED):
+                anchor, tally = chain[i - 1], total
+                break_at.append(i)
                 break
+            total += cur.ev.cost[h] if rec is None else rec.cost
         anchors.append(anchor)
-        break_at.append(idx)
-    first_idx = min((i for i in break_at if i is not None), default=None)
-    return DivergenceInfo(tuple(anchors),
-                          None if first_idx is None else chain[first_idx])
+        tallies.append(tally)
+    return DivergenceInfo(tuple(anchors), tuple(tallies),
+                          chain[min(break_at)] if break_at else None)
 
 
 def last_intact(node, h: int):
     """Deepest ancestor (or the node itself) whose history for ``h`` is intact."""
     cur = node
     while cur is not None:
-        if not cur.pending[h]:
+        if not cur.pending >> h & 1:
             return cur
         cur = cur.parent
     raise HistoryError(f"hypothesis {h} has no intact ancestor")
@@ -185,7 +190,7 @@ def reconstruct(node, h: int, since=None) -> list[EdgeRecord]:
     ``since`` is not an ancestor of ``node``, or the collected records do not
     chain contiguously.
     """
-    if node.pending[h]:
+    if node.pending >> h & 1:
         raise HistoryError(f"hypothesis {h} is pending at the requested node")
     out: list[EdgeRecord] = []
     cur = node

@@ -309,25 +309,14 @@ def successors(pose: Pose, lib: PrimitiveLibrary, width: int, height: int
 class EdgeEvaluation(NamedTuple):
     """Per-hypothesis validity and traversal cost of one edge.
 
-    ``cost[h]`` is None when the edge is invalid in hypothesis ``h``; otherwise
-    it is the nominal duration scaled by the mean soft-cost factor
-    ``1 + value / 255`` over the swept cells.
+    ``invalid`` is a bitmask: bit ``h`` is set where the edge is invalid in
+    hypothesis ``h`` (0 when it is valid in every one).  ``cost[h]`` is None
+    there; otherwise it is the nominal duration scaled by the mean soft-cost
+    factor ``1 + value / 255`` over the swept cells.
     """
 
-    valid: tuple[bool, ...]
+    invalid: int
     cost: tuple[float | None, ...]
-
-
-# The interned all-valid tuple of each hypothesis count: most evaluations
-# share it.
-_ALL_VALID: dict[int, tuple[bool, ...]] = {}
-
-
-def _all_valid(n: int) -> tuple[bool, ...]:
-    valid = _ALL_VALID.get(n)
-    if valid is None:
-        valid = _ALL_VALID[n] = (True,) * n
-    return valid
 
 
 def divergence_mask(maps: tuple[CostMap, ...]) -> bytes | None:
@@ -365,9 +354,9 @@ def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,
     agree on every cell).  While no swept cell diverges, the edge is costed on
     the primary map alone: a lethal cell there is lethal in every map, and
     the cost, summed from the same values in the same order, is the one every
-    map would give.  Otherwise it is costed on each map.  The evaluation's
-    ``valid`` is the interned all-valid tuple wherever the edge is valid in
-    every map.
+    map would give, and ``invalid`` is 0.  Otherwise it is costed on each
+    map, and ``invalid`` has bit ``h`` set for each map ``h`` where a swept
+    cell is lethal.
     """
     factor = SOFT_FACTOR
     k = len(offsets)
@@ -384,30 +373,26 @@ def evaluate_at(base: int, offsets: tuple[int, ...], nominal: float,
             return None
         total += factor[v]
     else:
-        n = len(maps)
-        valid = _ALL_VALID.get(n) or _all_valid(n)
-        return tuple.__new__(EdgeEvaluation, (valid, (nominal * (total / k),) * n))
+        return tuple.__new__(EdgeEvaluation, (0, (nominal * (total / k),) * len(maps)))
     swept = [base + off for off in offsets]
-    valid = []
+    invalid = 0
     cost = []
-    for cmap in maps:
+    for h, cmap in enumerate(maps):
         cells = cmap.cells
         thr = cmap.lethal_threshold
         total = 0.0
         for idx in swept:
             v = cells[idx]
             if v >= thr:
-                valid.append(False)
+                invalid |= 1 << h
                 cost.append(None)
                 break
             total += factor[v]
         else:
-            valid.append(True)
             cost.append(nominal * (total / k))
-    if True not in valid:
+    if invalid == (1 << len(maps)) - 1:
         return None
-    valid = tuple(valid) if False in valid else _all_valid(len(valid))
-    return tuple.__new__(EdgeEvaluation, (valid, tuple(cost)))
+    return tuple.__new__(EdgeEvaluation, (invalid, tuple(cost)))
 
 
 def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
@@ -425,20 +410,18 @@ def evaluate_edge(pose: Pose, prim: MotionPrimitive, stack: HypothesisStack,
     """
     width = stack.width
     height = stack.height
+    if all(0 <= pose.x + ox < width and 0 <= pose.y + oy < height for ox, oy in prim.swept):
+        if lib._by_id.get(prim.id) is prim:
+            offsets, nominal = lib.geometry(width)[lib.shape[prim.id]]
+        else:
+            offsets = tuple(oy * width + ox for ox, oy in prim.swept)
+            nominal = lib.duration(prim)
+        ev = evaluate_at(pose.y * width + pose.x, offsets, nominal, stack.maps,
+                         stack.divergence)
+        if ev is not None:
+            return ev
     n = stack.n
-    for ox, oy in prim.swept:
-        if not (0 <= pose.x + ox < width and 0 <= pose.y + oy < height):
-            return EdgeEvaluation((False,) * n, (None,) * n)
-    if lib._by_id.get(prim.id) is prim:
-        offsets, nominal = lib.geometry(width)[lib.shape[prim.id]]
-    else:
-        offsets = tuple(oy * width + ox for ox, oy in prim.swept)
-        nominal = lib.duration(prim)
-    ev = evaluate_at(pose.y * width + pose.x, offsets, nominal, stack.maps,
-                     stack.divergence)
-    if ev is None:
-        return EdgeEvaluation((False,) * n, (None,) * n)
-    return ev
+    return EdgeEvaluation((1 << n) - 1, (None,) * n)
 
 
 @dataclass(frozen=True)

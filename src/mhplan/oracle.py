@@ -92,7 +92,7 @@ def dijkstra_reference(cmap: CostMap, lib: PrimitiveLibrary, start: Pose, goal: 
 
     def edge_fn(pose, prim):
         ev = evaluate_edge(pose, prim, stack, lib)
-        return ev.cost[0] if ev.valid[0] else None
+        return ev.cost[0]  # None where the edge is invalid
 
     return _uniform_cost(stack, lib, start, goal, edge_fn)
 
@@ -107,7 +107,7 @@ def veh_reference(stack: HypothesisStack, lib: PrimitiveLibrary, start: Pose, go
 
     def edge_fn(pose, prim):
         ev = evaluate_edge(pose, prim, stack, lib)
-        if False in ev.valid:
+        if ev.invalid:
             return None
         return sum(ev.cost) / len(ev.cost)
 

@@ -36,11 +36,17 @@ field per detour spends the detour's small budget share on cells, which left
 more repairs unsolved.
 
 Duplicate detection is the engine's :class:`~mhplan.search_core.BestGTable`,
-the cheapest node per (pose, primary pending flag), except for PEH, which
+the cheapest node per (pose, primary pending bit), except for PEH, which
 keeps an antichain over histories
-(:class:`~mhplan.search_core.HistoryFrontier`).  Keyed on the flag, a node
+(:class:`~mhplan.search_core.HistoryFrontier`).  Keyed on the bit, a node
 whose primary history is pending never shadows an intact one, so with an
 unlimited budget GEH and GEGRH plan wherever the primary map has a plan.
+
+Only VEH and PEH carry per-hypothesis cost tallies on their nodes: VEH's g
+is their mean, and PEH's frontier and repairs read them.  SH, GEH and GEGRH
+nodes carry only the tally their g is, the primary's; a secondary
+hypothesis's tally at its anchor is derived from the chain where it is
+wanted (:func:`~mhplan.histories.divergence_point`).
 
 Each nested detour search gets ``DEFAULT_REROUTE_FRACTION`` of the outer
 search's remaining budget.  A diverged secondary hypothesis that cannot reach
@@ -87,15 +93,14 @@ MODES = tuple(m.value for m in PlannerMode)
 
 def _single_policy(engine, node, prim, ev, dst):
     """Direct extension on a single-hypothesis stack."""
-    if not ev.valid[0]:
+    if ev.invalid:
         return None
-    g = node.g + ev.cost[0]
-    return (g, (g,), (False,), None)
+    return (node.g + ev.cost[0], None, 0, None)
 
 
 def _veh_policy(engine, node, prim, ev, dst):
     """Require validity in every hypothesis; average the per-hypothesis tallies."""
-    if False in ev.valid:
+    if ev.invalid:
         return None
     hyp_g = tuple(map(operator.add, node.hyp_g, ev.cost))
     return (histories.average_edge_cost(hyp_g), hyp_g, node.pending, None)
@@ -104,30 +109,23 @@ def _veh_policy(engine, node, prim, ev, dst):
 def _geh_policy(engine, node, prim, ev, dst):
     """Admit on any-hypothesis validity at primary-style cost; defer repairs.
 
-    That cost is the child's primary tally: the tally advances by the
-    baseline cost on every edge (the primary's own cost where it can follow,
-    the baseline where it is pending), and goal candidates, whose g the goal
-    hook rewrites, are never expanded.
-
-    That tally and the child's primary pending flag are all the frontier
-    reads, so a child it would refuse is refused here, before the
-    per-hypothesis histories are built; a goal candidate never meets the
-    frontier.
+    The child's g is its primary tally, the one tally it carries: it
+    advances by the primary's own cost where the edge is valid there and by
+    the baseline cost where it is not (goal candidates, whose g the goal
+    hook rewrites, are never expanded).  A hypothesis is pending where it is
+    at the parent or the edge is invalid in it.  No secondary tally is
+    kept, and the engine alone asks the frontier whether the child is
+    admitted.
     """
-    valid = ev.valid[0]
-    g = node.hyp_g[0] + (ev.cost[0] if valid else histories.baseline_cost(ev))
-    if (not engine.in_goal_region(dst)
-            and not engine.frontier.admits(dst, g, None, (node.pending[0] or not valid,))):
-        return None
-    hyp_g, pending = histories.advance(node, ev)
-    return (hyp_g[0], hyp_g, pending, None)
+    g = node.g + (ev.cost[0] if not ev.invalid & 1 else histories.baseline_cost(ev))
+    return (g, None, node.pending | ev.invalid, None)
 
 
 def _make_peh_policy(rerouter: "Rerouter"):
     def policy(engine, node, prim, ev, dst):
         hyp_g, pending = histories.advance(node, ev)
         edges = None
-        if any(pending):
+        if pending:
             hyp_g, pending, edges = _repair_pending(
                 engine, rerouter, node, prim, ev, dst, hyp_g, pending
             )
@@ -140,15 +138,15 @@ def _make_peh_policy(rerouter: "Rerouter"):
 def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
     """Try to close every pending hypothesis with a detour ending at ``dst``.
 
-    Returns the updated tallies and flags, and the child's records: None when
-    nothing was repaired (they are the direct ones), otherwise the direct
-    records with each repaired hypothesis's detour spliced in.
+    Returns the updated tallies and pending mask, and the child's records:
+    None when nothing was repaired (they are the direct ones), otherwise the
+    direct records with each repaired hypothesis's detour spliced in.
     """
     new_g = list(hyp_g)
-    new_pending = list(pending)
+    new_pending = pending
     edges = None
-    for h, is_pending in enumerate(pending):
-        if not is_pending:
+    for h in range(pending.bit_length()):
+        if not pending >> h & 1:
             continue
         anchor = histories.last_intact(parent, h)
         traj = rerouter.reroute(engine, anchor.pose, dst.cell(), h)
@@ -158,11 +156,11 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
             edges = list(histories.direct_records(pending, ev.cost, parent.pose, dst,
                                                   prim.id))
         new_g[h] = anchor.hyp_g[h] + traj.duration
-        new_pending[h] = False
+        new_pending &= ~(1 << h)
         edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, dst, detour=traj)
     if edges is None:
         return hyp_g, pending, None
-    return tuple(new_g), tuple(new_pending), tuple(edges)
+    return tuple(new_g), new_pending, tuple(edges)
 
 
 # -- goal hooks --------------------------------------------------------------
@@ -170,24 +168,22 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
 
 def _peh_goal_hook(engine, node):
     # A goal candidate without an intact primary history cannot be executed.
-    return not node.pending[0]
+    return not node.pending & 1
 
 
 def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
     def hook(engine, node):
-        if node.goal_updated or not any(node.pending):
+        pending = node.pending
+        if node.goal_updated or not pending:
             return True  # updated already, or nothing to reconcile
         info = histories.divergence_point(node)
         parent_g = node.parent.g  # a pending node is never the root
         goal_edge = node.g - parent_g
         terms = [goal_edge]
-        n = len(node.pending)
-        hyp_g = list(node.hyp_g)
-        pending = list(node.pending)
         edges = list(histories.records(node))
         goal_cell = node.pose.cell()
-        for h in range(n):
-            if not pending[h]:
+        for h in range(pending.bit_length()):
+            if not pending >> h & 1:
                 continue
             anchor = info.anchors[h]
             traj = rerouter.reroute(engine, anchor.pose, goal_cell, h)
@@ -197,14 +193,12 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
                 terms.append(DEFAULT_REROUTE_PENALTY * goal_edge)
             else:
                 terms.append(traj.duration)
-                hyp_g[h] = anchor.hyp_g[h] + traj.duration
-                pending[h] = False
+                pending &= ~(1 << h)
                 edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, node.pose,
                                       detour=traj)
         new_edge = histories.average_edge_cost(terms)
         node.g = parent_g + new_edge
-        node.hyp_g = tuple(hyp_g)
-        node.pending = tuple(pending)
+        node.pending = pending
         node.edges = tuple(edges)
         node.goal_updated = True
         if engine.trace is not None:
@@ -231,8 +225,8 @@ def _consolidate_goal_edges(goal_node, new_parent) -> None:
     tail).
     """
     edges = []
-    for h, is_pending in enumerate(goal_node.pending):
-        if is_pending:
+    for h in range(len(goal_node.edges)):
+        if goal_node.pending >> h & 1:
             edges.append(None)
             continue
         seg = histories.reconstruct(goal_node, h, since=new_parent)
@@ -371,7 +365,7 @@ def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
             policy, hook = _make_peh_policy(rerouter), _peh_goal_hook
             # PEH's g averages its tallies, and a pending tally is a
             # placeholder until a later repair replaces it, so the least-g
-            # node at a pose, even per primary pending flag, can shadow the
+            # node at a pose, even per primary pending bit, can shadow the
             # one whose repairs end cheapest: keep incomparable histories
             # side by side.  On 204 seeded stacks (16², 24², 32², n=2-3,
             # unlimited budget) the keyed table raised PEH's cost on 3

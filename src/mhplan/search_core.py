@@ -12,12 +12,16 @@ hook every candidate is accepted.  One loop pops, expands and accepts; each
 accepted candidate lowers the inflation and rekeys the open list, until the
 final inflation is reached, the budget runs out or the open list empties.
 
-A policy returns ``(g, hyp_g, pending, edges)`` for the child, with
-``edges=None`` unless some of the child's history records are not the direct
-ones.  A node keeps the :class:`~mhplan.lattice.EdgeEvaluation` of its
-incoming edge, an object the edge table already holds, and its direct records
-are derived from it when read (:func:`~mhplan.histories.records`), so the
-search builds none.
+A policy returns ``(g, hyp_g, pending, edges)`` for the child, or None to
+refuse the edge.  ``pending`` is a bitmask, bit ``h`` set where hypothesis
+``h``'s history is broken (the root's is 0).  ``hyp_g`` is the tuple of
+per-hypothesis cost tallies where the mode's decisions read one (VEH, PEH),
+and None where the child's g is its one tally.  ``edges`` is None unless some
+of the child's history records are not the direct ones.  A node keeps the
+:class:`~mhplan.lattice.EdgeEvaluation` of its incoming edge, an object the
+edge table already holds, and its direct records are derived from it when
+read (:func:`~mhplan.histories.records`), so the search builds none.  The
+engine alone asks the frontier whether a child is admitted.
 
 The heuristic is the straight-line time to the goal region
 (:func:`heuristic`) unless the problem carries a mask of blocked cells; then
@@ -277,7 +281,10 @@ class SearchNode:
     """One lattice pose reached along one specific parent chain.
 
     ``ev`` is the evaluation of the incoming edge (None at the root).
-    ``edges`` holds the per-hypothesis history records only where some of
+    ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h``'s history
+    is broken.  ``hyp_g`` holds per-hypothesis cost tallies only in the modes
+    that read them (see the module docstring); elsewhere it is None, except
+    at the root.  ``edges`` holds the per-hypothesis history records only where some of
     them is not the direct record of that edge (a repair's detour, a goal
     candidate's rewritten history); otherwise it is None and
     :func:`~mhplan.histories.records` derives them from ``ev``.  A node
@@ -290,7 +297,7 @@ class SearchNode:
     )
 
     def __init__(self, nid: int, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g: tuple[float, ...], pending: tuple[bool, ...], edges,
+                 hyp_g: tuple[float, ...] | None, pending: int, edges,
                  ev: EdgeEvaluation | None = None):
         self.nid = nid
         self.pose = pose
@@ -482,11 +489,12 @@ class SearchTrace:
 
 
 class BestGTable:
-    """Cheapest node per (pose, primary pending flag) duplicate detection.
+    """Cheapest node per (pose, primary pending bit) duplicate detection.
 
-    A node whose primary history is pending (broken, waiting for a repair)
-    never shadows one whose primary history is intact, nor the reverse: each
-    flag keeps its own least-g node per pose.  Among primary-intact nodes at
+    A node whose primary history is pending (bit 0 of its ``pending`` mask:
+    broken, waiting for a repair) never shadows one whose primary history is
+    intact, nor the reverse: each bit value keeps its own least-g node per
+    pose.  Among primary-intact nodes at
     a pose the least g is exact for primary reachability, so no intact path,
     and no intact goal candidate, is lost behind a cheaper broken one.  A
     search whose nodes are never pending (SH, VEH) uses one of the two dicts.
@@ -498,30 +506,30 @@ class BestGTable:
     def __init__(self):
         self._best: tuple[dict[Pose, SearchNode], dict[Pose, SearchNode]] = ({}, {})
 
-    def admits(self, pose: Pose, g: float, hyp_g, pending) -> bool:
-        held = self._best[pending[0]].get(pose)
+    def admits(self, pose: Pose, g: float, hyp_g, pending: int) -> bool:
+        held = self._best[pending & 1].get(pose)
         return held is None or g < held.g
 
     def record(self, node: SearchNode) -> None:
-        self._best[node.pending[0]][node.pose] = node
+        self._best[node.pending & 1][node.pose] = node
 
     def current(self, node: SearchNode) -> bool:
-        return self._best[node.pending[0]].get(node.pose) is node
+        return self._best[node.pending & 1].get(node.pose) is node
 
     def purge(self, removed) -> None:
         self._best = tuple({pose: held for pose, held in best.items() if not removed(held)}
                            for best in self._best)
 
     def nodes(self) -> list[SearchNode]:
-        return [*self._best[False].values(), *self._best[True].values()]
+        return [*self._best[0].values(), *self._best[1].values()]
 
 
 class HistoryFrontier:
     """Per-pose antichain over per-hypothesis histories.
 
-    A kept node shadows a child only when it matches the child's pending
-    flags and is no worse in every hypothesis tally; incomparable histories
-    coexist.  Modes whose scalar g hides the per-hypothesis breakdown need
+    A kept node shadows a child only when its pending mask equals the
+    child's and it is no worse in every hypothesis tally (``hyp_g``, which
+    the frontier's modes carry); incomparable histories coexist.  Modes whose scalar g hides the per-hypothesis breakdown need
     this so a clean path is never pruned behind an equal-g dirty one.
     """
 
@@ -709,7 +717,7 @@ class AnytimeSearch:
         n = self._n_hyp
         start = self.new_node(
             self.problem.start, 0.0, None, -1,
-            hyp_g=(0.0,) * n, pending=(False,) * n, edges=None,
+            hyp_g=(0.0,) * n, pending=0, edges=None,
         )
         self.frontier.record(start)
         self.reinsert(start)

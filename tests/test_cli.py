@@ -142,6 +142,13 @@ def test_suite_parallel_matches_serial(tmp_path, capsys):
         assert a.read() == b.read()
 
 
+def test_suite_rejects_fewer_than_one_job(tmp_path, capsys):
+    write_scenario(tmp_path, "a", "fig3", ("SH",))
+    for jobs in ("0", "-3"):
+        assert main(["suite", str(tmp_path), "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_summarize_round_trip(tmp_path, capsys):
     write_scenario(tmp_path, "a", "fig3", ("SH", "VEH"))
     csv_path = os.path.join(tmp_path, "results.csv")

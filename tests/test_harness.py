@@ -2,10 +2,12 @@ import functools
 import math
 import os
 import random
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import pytest
 
+from mhplan import harness
 from mhplan.costmap import gen_case1, save_stack
 from mhplan.harness import (RESULT_COLUMNS, ResultRecord, Scenario,
                             ScenarioError, StackSource, builtin_scenario,
@@ -209,6 +211,54 @@ def test_run_suite_is_deterministic():
 def test_run_suite_empty():
     suite = run_suite([])
     assert suite.ok and suite.records == []
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs
+    every submitted call at once, in this process."""
+
+    started: list[int] = []  # each test sets its own list
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            fut.set_exception(exc)
+        return fut
+
+
+def test_run_suite_starts_at_most_one_worker_per_scenario(monkeypatch):
+    monkeypatch.setattr(InlinePool, "started", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    entries = [builtin_scenario("fig3", modes=("SH",), cfg=UNLIMITED),
+               builtin_scenario("clutter{size=12,n=2}", modes=("VEH",), cfg=UNLIMITED),
+               builtin_scenario("fig3", modes=("GEH",), cfg=UNLIMITED)]
+    serial = run_suite(entries)
+    assert InlinePool.started == []
+    assert run_suite(entries, jobs=5000).records == serial.records
+    assert run_suite(entries, jobs=2).records == serial.records
+    assert run_suite(entries[:1], jobs=8).records == serial.records[:1]
+    assert InlinePool.started == [3, 2]  # one scenario runs serially
+
+
+def test_run_suite_rejects_fewer_than_one_job(monkeypatch):
+    monkeypatch.setattr(InlinePool, "started", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    entries = [builtin_scenario("fig3", modes=("SH",), cfg=UNLIMITED)] * 2
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_suite(entries, jobs=jobs)
+    assert InlinePool.started == []
 
 
 def test_collect_scenarios(tmp_path):

@@ -12,10 +12,9 @@ from mhplan.lattice import (EdgeEvaluation, Pose, Trajectory, default_library)
 LIB = default_library()
 
 
-def node(pose, parent=None, pending=(False, False), edges=None, hyp_g=(0.0, 0.0),
+def node(pose, parent=None, pending=0, edges=None, hyp_g=(0.0, 0.0),
          ev=None, prim_id=-1):
-    return SimpleNamespace(pose=pose, parent=parent,
-                           pending=tuple(pending), edges=edges,
+    return SimpleNamespace(pose=pose, parent=parent, pending=pending, edges=edges,
                            hyp_g=tuple(hyp_g), ev=ev, prim_id=prim_id)
 
 
@@ -23,16 +22,15 @@ def direct(src, dst, cost=1.0, prim_id=0):
     return EdgeRecord(DIRECT, cost, src, dst, prim_id=prim_id)
 
 
-def chain_of(cells, pendings):
-    """Straight chain of fake nodes; pendings[i][h] flags hypothesis h broken
-    at step i (the edge arriving at node i+1)."""
-    n_hyp = len(pendings[0])
-    nodes = [node(Pose(cells[0][0], cells[0][1], 0), pending=(False,) * n_hyp)]
+def chain_of(cells, pendings, n_hyp=2):
+    """Straight chain of fake nodes; bit h of pendings[i] flags hypothesis h
+    broken at step i (the edge arriving at node i+1)."""
+    nodes = [node(Pose(cells[0][0], cells[0][1], 0))]
     for i, (cx, cy) in enumerate(cells[1:]):
         prev = nodes[-1]
         pend = pendings[i]
-        edges = tuple(None if p else direct(prev.pose, Pose(cx, cy, 0))
-                      for p in pend)
+        edges = tuple(None if pend >> h & 1 else direct(prev.pose, Pose(cx, cy, 0))
+                      for h in range(n_hyp))
         nodes.append(node(Pose(cx, cy, 0), prev, pend, edges))
     return nodes
 
@@ -72,12 +70,12 @@ def test_average_edge_cost_properties():
 
 
 def test_baseline_cost_prefers_lowest_valid_index():
-    ev = EdgeEvaluation((True, False), (2.0, None))
+    ev = EdgeEvaluation(0b10, (2.0, None))
     assert baseline_cost(ev) == 2.0
-    ev = EdgeEvaluation((False, True), (None, 3.0))
+    ev = EdgeEvaluation(0b01, (None, 3.0))
     assert baseline_cost(ev) == 3.0
     with pytest.raises(ValueError):
-        baseline_cost(EdgeEvaluation((False, False), (None, None)))
+        baseline_cost(EdgeEvaluation(0b11, (None, None)))
 
 
 # -- record_expansion --------------------------------------------------------
@@ -86,10 +84,10 @@ def test_baseline_cost_prefers_lowest_valid_index():
 def test_record_expansion_consistent_edge():
     parent = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
-    ev = EdgeEvaluation((True, True), (1.0, 1.2))
+    ev = EdgeEvaluation(0, (1.0, 1.2))
     hyp_g, pending, edges = record_expansion(parent, ev, prim, Pose(2, 1, 0))
     assert hyp_g == (1.0, 1.2)
-    assert pending == (False, False)
+    assert pending == 0
     assert all(e.kind == DIRECT for e in edges)
     assert edges[0].prim_id == prim.id
 
@@ -97,9 +95,9 @@ def test_record_expansion_consistent_edge():
 def test_record_expansion_marks_divergence():
     parent = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
-    ev = EdgeEvaluation((True, False), (1.0, None))
+    ev = EdgeEvaluation(0b10, (1.0, None))
     hyp_g, pending, edges = record_expansion(parent, ev, prim, Pose(2, 1, 0))
-    assert pending == (False, True)
+    assert pending == 0b10
     assert edges[1] is None
     assert hyp_g == (1.0, 1.0)  # pending hypothesis advances at baseline cost
 
@@ -107,21 +105,21 @@ def test_record_expansion_marks_divergence():
 def test_record_expansion_pending_parent_stays_pending():
     root = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
-    mid = node(Pose(2, 1, 0), root, pending=(False, True),
+    mid = node(Pose(2, 1, 0), root, pending=0b10,
                edges=(direct(root.pose, Pose(2, 1, 0)), None),
                hyp_g=(1.0, 1.0))
-    ev = EdgeEvaluation((True, True), (1.0, 1.5))
+    ev = EdgeEvaluation(0, (1.0, 1.5))
     hyp_g, pending, edges = record_expansion(mid, ev, prim, Pose(3, 1, 0))
     # Secondary is valid here but its history already broke upstream.
-    assert pending == (False, True)
+    assert pending == 0b10
     assert edges[1] is None
     assert hyp_g == (2.0, 2.0)
 
 
 def test_records_derive_direct_records_from_the_incoming_edge():
     root = node(Pose(1, 1, 0))
-    ev = EdgeEvaluation((True, False), (1.0, None))
-    child = node(Pose(2, 1, 0), root, pending=(False, True), ev=ev, prim_id=3)
+    ev = EdgeEvaluation(0b10, (1.0, None))
+    child = node(Pose(2, 1, 0), root, pending=0b10, ev=ev, prim_id=3)
     assert records(root) is None
     assert records(child) == (direct(root.pose, child.pose, 1.0, prim_id=3), None)
     assert reconstruct(child, 0) == [direct(root.pose, child.pose, 1.0, prim_id=3)]
@@ -135,30 +133,30 @@ def test_records_derive_direct_records_from_the_incoming_edge():
 
 
 def test_divergence_none_when_consistent():
-    nodes = chain_of([(0, 0), (1, 0), (2, 0)],
-                     [(False, False), (False, False)])
+    nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0, 0])
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, None)
+    assert info.tallies == (None, None)
     assert info.first_break is None
 
 
 def test_divergence_anchor_is_last_intact():
     # Secondary breaks on the edge into node 2.
-    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)],
-                     [(False, False), (False, True), (False, True)])
+    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)], [0, 0b10, 0b10])
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, nodes[1])
+    assert info.tallies == (None, 1.0)  # one unit-cost record up to the anchor
     assert info.first_break is nodes[2]
     assert info.first_break.parent is nodes[1]
 
 
 def test_divergence_global_first_takes_minimum_depth():
     # Three hypotheses: h1 breaks entering node 4, h2 entering node 2.
-    pendings = [(False, False, False), (False, False, True),
-                (False, False, True), (False, True, True)]
-    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], pendings)
+    pendings = [0, 0b100, 0b100, 0b110]
+    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], pendings, n_hyp=3)
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, nodes[3], nodes[1])
+    assert info.tallies == (None, 3.0, 1.0)
     assert info.first_break is nodes[2]
     assert info.first_break.parent is nodes[1]
 
@@ -168,17 +166,17 @@ def test_divergence_sees_rerouted_records_as_breaks():
     detour = Trajectory(((Pose(0, 0, 0), 2, Pose(0, 1, 6)),
                          (Pose(0, 1, 6), 18, Pose(1, 1, 6))), 2.0, Pose(0, 0, 0))
     rec = EdgeRecord(REROUTED, 2.0, Pose(0, 0, 0), Pose(1, 0, 0), detour=detour)
-    child = node(Pose(1, 0, 0), root, pending=(False, False),
+    child = node(Pose(1, 0, 0), root, pending=0,
                  edges=(direct(root.pose, Pose(1, 0, 0)), rec))
     info = divergence_point(child)
     assert info.anchors == (None, root)
+    assert info.tallies == (None, 0.0)
     assert info.first_break is child
     assert info.first_break.parent is root
 
 
 def test_last_intact_walks_past_pending():
-    nodes = chain_of([(0, 0), (1, 0), (2, 0)],
-                     [(False, True), (False, True)])
+    nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0b10, 0b10])
     assert last_intact(nodes[-1], 1) is nodes[0]
     assert last_intact(nodes[-1], 0) is nodes[-1]
 
@@ -187,8 +185,7 @@ def test_last_intact_walks_past_pending():
 
 
 def test_reconstruct_and_stitch_direct_chain():
-    nodes = chain_of([(0, 0), (1, 0), (2, 0)],
-                     [(False, False), (False, False)])
+    nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0, 0])
     recs = reconstruct(nodes[-1], 0)
     traj = stitch(recs, nodes[0].pose)
     assert [p.cell() for p in traj.poses] == [(0, 0), (1, 0), (2, 0)]
@@ -196,7 +193,7 @@ def test_reconstruct_and_stitch_direct_chain():
 
 
 def test_reconstruct_rejects_pending_tip():
-    nodes = chain_of([(0, 0), (1, 0)], [(False, True)])
+    nodes = chain_of([(0, 0), (1, 0)], [0b10])
     with pytest.raises(HistoryError):
         reconstruct(nodes[-1], 1)
 
@@ -204,16 +201,15 @@ def test_reconstruct_rejects_pending_tip():
 def test_reconstruct_rejects_gap():
     root = node(Pose(0, 0, 0))
     # Record claims to start at (5, 5) even though the previous ended at (1, 0).
-    bad = node(Pose(2, 0, 0), node(Pose(1, 0, 0), root, (False,),
+    bad = node(Pose(2, 0, 0), node(Pose(1, 0, 0), root, 0,
                                    (direct(Pose(0, 0, 0), Pose(1, 0, 0)),)),
-               (False,), (direct(Pose(5, 5, 0), Pose(2, 0, 0)),))
+               0, (direct(Pose(5, 5, 0), Pose(2, 0, 0)),))
     with pytest.raises(HistoryError, match="disconnected"):
         reconstruct(bad, 0)
 
 
 def test_reconstruct_since_an_ancestor_returns_the_tail():
-    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)],
-                     [(False, False), (False, False), (False, False)])
+    nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)], [0, 0, 0])
     tip = nodes[-1]
     for h in (0, 1):
         full = reconstruct(tip, h)

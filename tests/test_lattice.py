@@ -30,11 +30,11 @@ def test_pose_and_edge_evaluation_value_semantics():
         p.x = 5
     # As a named tuple a pose also equals the plain tuple of its fields.
     assert p == (1, 2, 3)
-    ev = EdgeEvaluation((True, False), (1.5, None))
-    assert repr(ev) == "EdgeEvaluation(valid=(True, False), cost=(1.5, None))"
-    assert hash(ev) == hash(((True, False), (1.5, None)))
+    ev = EdgeEvaluation(0b10, (1.5, None))
+    assert repr(ev) == "EdgeEvaluation(invalid=2, cost=(1.5, None))"
+    assert hash(ev) == hash((2, (1.5, None)))
     with pytest.raises(AttributeError):
-        ev.valid = (True, True)
+        ev.invalid = 0
 
 
 # -- supercover --------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_evaluate_edge_costs_foreign_primitives_from_their_own_fields():
         Pose(3, 3, 1), lib.get(4), stack, lib)
     # A primitive that reuses a library id, and one with an unknown id, are
     # costed from their own swept cells and arc length.
-    expect = EdgeEvaluation((True,), (2.0 * SOFT_FACTOR[22],))
+    expect = EdgeEvaluation(0, (2.0 * SOFT_FACTOR[22],))
     for pid in (4, 99):
         prim = MotionPrimitive(pid, 1, 1, 0, 0, 2.0, ((1, 0),))
         assert evaluate_edge(Pose(3, 3, 1), prim, stack, lib) == expect
@@ -229,9 +229,9 @@ def test_evaluate_edge_matches_independent_model():
             ev = evaluate_edge(pose, prim, stack, lib)
             expect = independent_edge_cost(pose, prim, cmap, lib.nominal_speed)
             if expect is None:
-                assert not ev.valid[0] and ev.cost[0] is None
+                assert ev.invalid & 1 and ev.cost[0] is None
             else:
-                assert ev.valid[0]
+                assert not ev.invalid & 1
                 assert ev.cost[0] == pytest.approx(expect, abs=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_evaluate_edge_per_hypothesis_validity():
     stack = HypothesisStack((free, blocked))
     straight = lib.by_heading[0][0]
     ev = evaluate_edge(Pose(3, 3, 0), straight, stack, lib)
-    assert ev.valid == (True, False)
+    assert ev.invalid == 0b10
     assert ev.cost[1] is None
 
 
@@ -266,10 +266,11 @@ def test_evaluate_edge_off_the_map_is_invalid_everywhere():
         n = stack.n
         for pose, prim in ((Pose(3, 1, 0), east), (Pose(0, 1, 4), west), (Pose(1, 2, 6), south)):
             ev = evaluate_edge(pose, prim, stack, lib)
-            assert ev == EdgeEvaluation((False,) * n, (None,) * n)
+            assert ev == EdgeEvaluation((1 << n) - 1, (None,) * n)
+            assert ev.invalid == (1 << n) - 1
         # The same primitives stay valid where they stay on the map.
         for pose, prim in ((Pose(2, 1, 0), east), (Pose(1, 1, 4), west), (Pose(1, 1, 6), south)):
-            assert evaluate_edge(pose, prim, stack, lib).valid == (True,) * n
+            assert evaluate_edge(pose, prim, stack, lib).invalid == 0
 
 
 def test_diagonal_sweep_blocks_side_cells():
@@ -279,7 +280,7 @@ def test_diagonal_sweep_blocks_side_cells():
     pinch = free.with_cells({(4, 3): 255, (3, 2): 255})
     diag = [p for p in lib.by_heading[1] if p.end_heading == 1][0]
     ev = evaluate_edge(Pose(3, 3, 1), diag, HypothesisStack((pinch,)), lib)
-    assert not ev.valid[0]
+    assert ev.invalid & 1
 
 
 # -- trajectories ------------------------------------------------------------

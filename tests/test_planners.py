@@ -1,12 +1,13 @@
 import contextlib
 import gc
+import itertools
 import math
 from statistics import fmean
 from types import SimpleNamespace
 
 import pytest
 
-from mhplan import planners
+from mhplan import histories, planners
 from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_case2, gen_clutter
 from mhplan.harness import clutter_endpoints
 from mhplan.histories import DIRECT, REROUTED, record_expansion, records
@@ -324,7 +325,9 @@ def test_deferred_records_equal_record_expansion():
     # incoming edge when read.  Every node must still read as what
     # record_expansion gives for its edge, apart from the hypotheses PEH
     # repaired with a detour and from goal candidates whose histories the
-    # goal hook rewrote.  Only those two store records.
+    # goal hook rewrote.  Only those two store records.  SH, GEH and GEGRH
+    # nodes carry no tally tuple: their g is the primary tally, the only
+    # one compared there.
     start, goal = clutter_endpoints(24)
     stack = gen_clutter(24, 24, seed=3, density=0.15, n_hypotheses=3, shift=2,
                         keep_free=(start.cell(), goal.cell()))
@@ -348,20 +351,100 @@ def test_deferred_records_equal_record_expansion():
                 assert node.edges is None, (mode, node)
             prim = LIB.get(node.prim_id)
             ev = evaluate_edge(parent.pose, prim, view, LIB)
+            tallied = mode in ("VEH", "PEH")
+            if not tallied:
+                assert node.hyp_g is None, (mode, node)
+                parent = SimpleNamespace(pose=parent.pose, pending=parent.pending,
+                                         hyp_g=(parent.g,) * view.n)
             hyp_g, pending, edges = record_expansion(parent, ev, prim, node.pose)
             if mode in ("SH", "VEH"):
-                assert not any(pending) and all(e.kind == DIRECT for e in edges)
+                assert not pending and all(e.kind == DIRECT for e in edges)
+            if not tallied:
+                assert node.g == hyp_g[0], (mode, node)
             for h, rec in enumerate(records(node)):
+                bit = pending >> h & 1
                 if rec is not None and rec.kind == REROUTED:
-                    assert mode == "PEH" and pending[h]
+                    assert mode == "PEH" and bit
                     seen["rerouted"] += 1
                     continue
-                assert (node.hyp_g[h], node.pending[h], rec) == (
-                    hyp_g[h], pending[h], edges[h]), (mode, node)
-                seen["pending"] += pending[h]
+                assert (node.pending >> h & 1, rec) == (bit, edges[h]), (mode, node)
+                if tallied:
+                    assert node.hyp_g[h] == hyp_g[h], (mode, node)
+                seen["pending"] += bit
             checked += 1
         assert checked > 50, mode
     assert seen["pending"] > 0 and seen["rerouted"] > 0
+
+
+def with_soft_costs(stack):
+    """The stack with every free cell given a soft cost, 1 to 120 by
+    position, in every map: edge costs that are not dyadic, so sums of them
+    depend on their order."""
+    soft = {(x, y): (37 * x + 91 * y) % 120 + 1
+            for x in range(stack.width) for y in range(stack.height)}
+    return HypothesisStack(tuple(
+        cmap.with_cells({c: v for c, v in soft.items() if not cmap.is_lethal(*c)})
+        for cmap in stack.maps))
+
+
+def test_goal_tallies_equal_the_incremental_fold(monkeypatch):
+    # GEH and GEGRH nodes carry no per-hypothesis tallies; divergence_point
+    # derives each diverged hypothesis's tally at its anchor by summing the
+    # chain's edge costs from the root.  At every goal candidate the hook
+    # updates, on the 48 stacks of test_every_mode_plans_wherever_sh_plans
+    # and on the same stacks with soft costs, each must equal, by repr, the
+    # tally record_expansion folds along the candidate's chain (a
+    # candidate's chain as it stood when the hook read it: GEGRH rewires the
+    # candidate afterwards).
+    calls = {}
+    divergence_point = histories.divergence_point
+
+    def spy(node):
+        chain = []
+        cur = node
+        while cur is not None:
+            chain.append(cur)
+            cur = cur.parent
+        info = divergence_point(node)
+        calls[node.nid] = (chain[::-1], info)
+        return info
+
+    monkeypatch.setattr(histories, "divergence_point", spy)
+    checked = 0
+    for size in (16, 24):
+        start, goal = clutter_endpoints(size)
+        for n in (2, 3):
+            for seed in range(12):
+                hard = gen_clutter(size, size, seed, 0.15, n, 2,
+                                   keep_free=(start.cell(), goal.cell()))
+                for stack, mode in itertools.product((hard, with_soft_costs(hard)),
+                                                     ("GEH", "GEGRH")):
+                    calls.clear()
+                    trace = SearchTrace()
+                    plan(mode, stack, start, goal, UNLIMITED, trace=trace)
+                    for nid, _terms, _edge in trace.goal_updates:
+                        chain, info = calls[nid]
+                        folded = SimpleNamespace(pose=chain[0].pose, hyp_g=(0.0,) * n,
+                                                 pending=0)
+                        tallies = {chain[0].nid: folded.hyp_g}
+                        # The candidate itself is never an anchor.
+                        for child in chain[1:-1]:
+                            prim = LIB.get(child.prim_id)
+                            ev = evaluate_edge(folded.pose, prim, stack, LIB)
+                            hyp_g, pending, _ = record_expansion(folded, ev, prim, child.pose)
+                            folded = SimpleNamespace(pose=child.pose, hyp_g=hyp_g,
+                                                     pending=pending)
+                            tallies[child.nid] = hyp_g
+                        assert len(info.tallies) == n
+                        for h, anchor in enumerate(info.anchors):
+                            if anchor is None:
+                                assert info.tallies[h] is None
+                                continue
+                            expect = tallies[anchor.nid][h]
+                            assert repr(info.tallies[h]) == repr(expect), (
+                                size, n, seed, mode, nid, h)
+                            checked += 1
+    assert checked > 100, checked
 
 
 # -- cyclic garbage collector ------------------------------------------------

@@ -418,7 +418,8 @@ def test_edge_table_matches_successors_and_evaluate_edge():
                         expect = [(p, d, evaluate_edge(pose, p, stack, lib))
                                   for p, d in successors(pose, lib, w, h)]
                         on_map += len(expect)
-                        expect = tuple(e for e in expect if True in e[2].valid)
+                        expect = tuple(e for e in expect
+                                       if e[2].invalid != (1 << stack.n) - 1)
                         row = problem.edges(pose)
                         assert type(row) is tuple and row == expect
                         assert problem.edges(pose) == row
@@ -475,7 +476,8 @@ def test_edge_kernel_matches_per_map_formula_bit_for_bit():
     # against the per-map formula it replaces, costs compared by repr.  The
     # stacks hold cells that diverge in value, maps whose lethal threshold
     # differs from the primary's, and edges invalid in some or every map;
-    # the table holds None for the latter.
+    # the table holds None for the latter.  Bit h of ``invalid`` is set
+    # exactly where ``cost[h]`` is None.
     rng = random.Random(6)
     seen = {"all": 0, "some": 0, "none": 0, "no_divergence": 0, "threshold": 0}
     for lib in (LIB, _shape_sharing_library()):
@@ -500,10 +502,11 @@ def test_edge_kernel_matches_per_map_formula_bit_for_bit():
                             cell = y * w + x
                             offsets, nominal = lib.geometry(w)[shape]
                             valid, cost = _reference_evaluation(cell, offsets, nominal, maps)
+                            invalid = sum(1 << i for i, ok in enumerate(valid) if not ok)
                             ev = evaluate_at(cell, offsets, nominal, maps, problem.divergence)
                             wrapped = evaluate_edge(Pose(x, y, prim.start_heading), prim,
                                                     stack, lib)
-                            assert repr(wrapped.valid) == repr(valid)
+                            assert wrapped.invalid == invalid
                             assert repr(wrapped.cost) == repr(cost)
                             problem.edges(Pose(x, y, prim.start_heading))
                             entry = problem.table[cell * lib.n_shapes + shape]
@@ -513,10 +516,10 @@ def test_edge_kernel_matches_per_map_formula_bit_for_bit():
                                 continue
                             seen["all" if False not in valid else "some"] += 1
                             assert type(ev) is EdgeEvaluation and entry == ev
-                            assert repr(ev.valid) == repr(valid)
+                            assert ev.invalid == invalid
                             assert repr(ev.cost) == repr(cost)
-                            if False not in valid:
-                                assert ev.valid is wrapped.valid is entry.valid
+                            for i in range(n):
+                                assert (ev.invalid >> i) & 1 == (ev.cost[i] is None)
     assert min(seen.values()) > 0, seen
 
 
@@ -585,7 +588,7 @@ def test_edge_table_shares_one_evaluation_across_headings():
     assert row1[4][0] == Pose(3, 2, 2) and row1[5][0] == Pose(4, 3, 7)
     assert row0[0][1] is row0[1][1] is row1[4][1]
     assert row0[2][1] is row1[5][1]
-    assert row0[3][1] == EdgeEvaluation((True,), (2.0 * (1.0 + 15 / 255.0),))
+    assert row0[3][1] == EdgeEvaluation(0, (2.0 * (1.0 + 15 / 255.0),))
     # The four primitives of heading 0 fill three entries, heading 1 adds
     # none at the same cell, and another cell adds its own.
     assert len(problem.table) == 3
@@ -649,7 +652,7 @@ def test_wall_clock_moves_forward():
 
 
 def mknode(nid, pose, g):
-    return SearchNode(nid, pose, g, None, -1, (g,), (False,), None)
+    return SearchNode(nid, pose, g, None, -1, (g,), 0, None)
 
 
 def test_open_list_orders_by_f_then_larger_g():
@@ -741,13 +744,13 @@ def histnode(nid, pose, hyp_g, pending):
 def test_best_g_table_keeps_single_cheapest():
     table = BestGTable()
     pose = Pose(2, 2, 0)
-    a = histnode(1, pose, (4.0,), (False,))
+    a = histnode(1, pose, (4.0,), 0)
     table.record(a)
     assert table.current(a)
-    assert not table.admits(pose, 4.0, (4.0,), (False,))
-    assert not table.admits(pose, 5.0, (5.0,), (False,))
-    assert table.admits(pose, 3.0, (3.0,), (False,))
-    b = histnode(2, pose, (3.0,), (False,))
+    assert not table.admits(pose, 4.0, (4.0,), 0)
+    assert not table.admits(pose, 5.0, (5.0,), 0)
+    assert table.admits(pose, 3.0, (3.0,), 0)
+    b = histnode(2, pose, (3.0,), 0)
     table.record(b)
     assert table.current(b) and not table.current(a)
     table.purge(lambda n: n is b)
@@ -757,53 +760,53 @@ def test_best_g_table_keeps_single_cheapest():
 def test_best_g_table_keys_on_the_primary_pending_flag():
     table = BestGTable()
     pose = Pose(2, 2, 0)
-    broken = histnode(1, pose, (3.0, 3.0), (True, False))
+    broken = histnode(1, pose, (3.0, 3.0), 0b01)
     table.record(broken)
     # A cheaper node with a pending primary does not shadow an intact one...
-    assert table.admits(pose, 5.0, (5.0, 5.0), (False, False))
-    assert not table.admits(pose, 4.0, (4.0, 4.0), (True, True))
-    intact = histnode(2, pose, (5.0, 5.0), (False, False))
+    assert table.admits(pose, 5.0, (5.0, 5.0), 0)
+    assert not table.admits(pose, 4.0, (4.0, 4.0), 0b11)
+    intact = histnode(2, pose, (5.0, 5.0), 0)
     table.record(intact)
     assert table.current(broken) and table.current(intact)
-    # ...nor the reverse, and each flag keeps its own cheapest node.
-    assert not table.admits(pose, 6.0, (6.0, 6.0), (True, False))
-    assert table.admits(pose, 2.0, (2.0, 2.0), (True, False))
-    assert table.admits(pose, 4.0, (4.0, 4.0), (False, True))
-    assert not table.admits(pose, 5.0, (5.0, 5.0), (False, True))
+    # ...nor the reverse, and each bit value keeps its own cheapest node.
+    assert not table.admits(pose, 6.0, (6.0, 6.0), 0b01)
+    assert table.admits(pose, 2.0, (2.0, 2.0), 0b01)
+    assert table.admits(pose, 4.0, (4.0, 4.0), 0b10)
+    assert not table.admits(pose, 5.0, (5.0, 5.0), 0b10)
     assert set(table.nodes()) == {broken, intact}
     table.purge(lambda n: n is broken)
     assert table.nodes() == [intact]
-    assert table.admits(pose, 9.0, (9.0, 9.0), (True, False))
+    assert table.admits(pose, 9.0, (9.0, 9.0), 0b01)
     table.record(broken)
     table.purge(lambda n: n is intact)
     assert table.nodes() == [broken]
     assert not table.current(intact)
-    assert table.admits(pose, 9.0, (9.0, 9.0), (False, False))
+    assert table.admits(pose, 9.0, (9.0, 9.0), 0)
 
 
 def test_history_frontier_keeps_incomparable_nodes():
     table = HistoryFrontier()
     pose = Pose(2, 2, 0)
-    clean = histnode(1, pose, (4.0, 6.0), (False, False))
+    clean = histnode(1, pose, (4.0, 6.0), 0)
     table.record(clean)
-    # Dominated in both tallies with equal flags: shadowed.
-    assert not table.admits(pose, 5.5, (5.0, 6.0), (False, False))
-    assert not table.admits(pose, 5.0, (4.0, 6.0), (False, False))
+    # Dominated in both tallies with equal pending masks: shadowed.
+    assert not table.admits(pose, 5.5, (5.0, 6.0), 0)
+    assert not table.admits(pose, 5.0, (4.0, 6.0), 0)
     # Better in one hypothesis, worse in the other: kept alongside.
-    assert table.admits(pose, 5.5, (3.0, 8.0), (False, False))
-    # Different pending flags never compare, even with worse tallies.
-    assert table.admits(pose, 6.0, (5.0, 7.0), (True, False))
-    other = histnode(2, pose, (3.0, 8.0), (False, False))
+    assert table.admits(pose, 5.5, (3.0, 8.0), 0)
+    # Different pending masks never compare, even with worse tallies.
+    assert table.admits(pose, 6.0, (5.0, 7.0), 0b01)
+    other = histnode(2, pose, (3.0, 8.0), 0)
     table.record(other)
     assert table.current(clean) and table.current(other)
     # A node dominating a kept one evicts it on record.
-    better = histnode(3, pose, (3.0, 5.0), (False, False))
+    better = histnode(3, pose, (3.0, 5.0), 0)
     table.record(better)
     assert table.current(better)
     assert not table.current(clean) and not table.current(other)
     table.purge(lambda n: n is better)
     assert not table.current(better)
-    assert table.admits(pose, 9.0, (9.0, 9.0), (False, False))
+    assert table.admits(pose, 9.0, (9.0, 9.0), 0)
 
 
 # -- revocation --------------------------------------------------------------
@@ -814,8 +817,8 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     problem = SearchProblem(free_stack(8, 8), LIB, Pose(0, 0, 0), Pose(7, 7, 0))
     engine = AnytimeSearch(problem, AnytimeConfig(), None, frontier=frontier())
 
-    def grow(parent, x, y, g, pending=False):
-        node = engine.new_node(Pose(x, y, 0), g, parent, 0, (g,), (pending,), None)
+    def grow(parent, x, y, g, pending=0):
+        node = engine.new_node(Pose(x, y, 0), g, parent, 0, (g,), pending, None)
         engine.frontier.record(node)
         return node
 
@@ -826,14 +829,14 @@ def test_revoke_drops_subtree_and_readmits_its_poses(frontier):
     subtree.append(grow(nd, 1, 1, 2.0))
     # A node whose primary history is pending, beside an intact one at its
     # pose, inside the subtree and out of it.
-    subtree.append(grow(subtree[1], 3, 0, 2.5, pending=True))
+    subtree.append(grow(subtree[1], 3, 0, 2.5, pending=1))
     sibling = grow(root, 0, 1, 1.0)
     cousin = grow(sibling, 0, 2, 2.0)
-    broken_cousin = grow(sibling, 1, 1, 1.5, pending=True)
+    broken_cousin = grow(sibling, 1, 1, 1.5, pending=1)
     # Goal candidates never enter the frontier: one below the revoked node,
     # one outside its subtree.
-    goal_inside = engine.new_node(Pose(7, 7, 0), 9.0, subtree[2], 0, (9.0,), (False,), None)
-    goal_outside = engine.new_node(Pose(7, 7, 1), 9.0, cousin, 0, (9.0,), (False,), None)
+    goal_inside = engine.new_node(Pose(7, 7, 0), 9.0, subtree[2], 0, (9.0,), 0, None)
+    goal_outside = engine.new_node(Pose(7, 7, 1), 9.0, cousin, 0, (9.0,), 0, None)
     assert engine.node_live(goal_inside) and engine.node_live(goal_outside)
 
     engine.revoke(nd)
@@ -980,7 +983,7 @@ def test_deterministic_repeats():
 
 def direct_policy(engine, node, prim, ev, dst):
     g = node.g + ev.cost[0]
-    return (g, (g,), (False,), None) if ev.valid[0] else None
+    return (g, (g,), 0, None) if not ev.invalid & 1 else None
 
 
 def hook_engine(hook, trace=None):

@@ -135,8 +135,13 @@ def _default_poses(kind: str, params: dict[str, float]) -> tuple[Pose, Pose]:
     return _BUILTIN_POSES[kind]
 
 
+# Builtin parameters that count something: each must be a finite integer.
+INTEGER_PARAMS = ("size", "seed", "n", "shift")
+
+
 def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
-    """Split ``clutter{n=3,seed=7}`` style builtin specs into name + params."""
+    """Split ``clutter{n=3,seed=7}`` style builtin specs into name + float
+    params, refusing an :data:`INTEGER_PARAMS` value such as 2.5 or inf."""
     name, brace, rest = spec.partition("{")
     if name not in BUILTIN_NAMES:
         raise ScenarioError(f"unknown builtin scenario {name!r}")
@@ -149,10 +154,13 @@ def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
             key, eq, val = item.partition("=")
             if not eq:
                 raise ScenarioError(f"expected key=value, got {item!r}")
+            key = key.strip()
             try:
-                params[key.strip()] = float(val)
+                params[key] = float(val)
             except ValueError as exc:
                 raise ScenarioError(f"bad parameter value {item!r}") from exc
+            if key in INTEGER_PARAMS and not params[key].is_integer():
+                raise ScenarioError(f"{key} must be a finite integer, got {item!r}")
     return name, params
 
 

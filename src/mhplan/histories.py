@@ -12,10 +12,9 @@ spliced in by a repair, or a goal candidate's rewritten history.  Full
 per-hypothesis trajectories are reconstructed by walking the parent chain
 and stitching the records together.
 
-Per-hypothesis cost tallies are kept on a node (``hyp_g``) only by the modes
-whose search decisions read them, VEH and PEH (:func:`advance`).  Elsewhere a
-node's g is its one tally, the primary's; :func:`divergence_point` derives
-each hypothesis's tally at its anchor from the chain's edge costs.
+Per-hypothesis cost tallies are kept on a node (``hyp_g``) only by PEH, whose
+frontier and repairs read them (:func:`advance`).  Elsewhere a node's g is
+its one tally.
 """
 
 from __future__ import annotations
@@ -51,17 +50,13 @@ class DivergenceInfo:
 
     ``anchors[h]`` is the deepest node on the chain whose history for
     hypothesis ``h`` is still an exact pose-for-pose prefix of the primary
-    history (None when the hypothesis never diverged).  ``tallies[h]`` is
-    hypothesis ``h``'s cost up to its anchor: the sum of the edge costs
-    ``ev.cost[h]`` from the root in chain order, as the incremental tally of
-    :func:`advance` folds them (None where the anchor is).  ``first_break``
-    is the earliest node on the chain whose history no longer matches in
-    some hypothesis (None when none diverged); it is never the root, and its
+    history (None when the hypothesis never diverged).  ``first_break`` is
+    the earliest node on the chain whose history no longer matches in some
+    hypothesis (None when none diverged); it is never the root, and its
     parent is the shallowest anchor.
     """
 
     anchors: tuple[object | None, ...]
-    tallies: tuple[float | None, ...]
     first_break: object | None
 
 
@@ -143,33 +138,27 @@ def _chain(node) -> list:
 
 def divergence_point(node) -> DivergenceInfo:
     """Locate, per hypothesis, the last node whose history still matched the
-    primary, and that hypothesis's cost up to it.
+    primary.
 
     A history breaks where it is pending or where its record is REROUTED;
-    only explicitly stored ``edges`` can hold a REROUTED record.  Up to the
-    break every record is DIRECT, at the cost its edge has in the hypothesis.
-    The root has no history, so nothing diverges there.
+    only explicitly stored ``edges`` can hold a REROUTED record.  The root
+    has no history, so nothing diverges there.
     """
     chain = _chain(node)
     recs = records(node)
     anchors: list[object | None] = []
-    tallies: list[float | None] = []
     break_at: list[int] = []
     for h in range(0 if recs is None else len(recs)):
-        anchor = tally = None
-        total = 0.0
+        anchor = None
         for i in range(1, len(chain)):  # the root carries no incoming edge
             cur = chain[i]
             rec = cur.edges[h] if cur.edges is not None else None
             if cur.pending >> h & 1 or (rec is not None and rec.kind == REROUTED):
-                anchor, tally = chain[i - 1], total
+                anchor = chain[i - 1]
                 break_at.append(i)
                 break
-            total += cur.ev.cost[h] if rec is None else rec.cost
         anchors.append(anchor)
-        tallies.append(tally)
-    return DivergenceInfo(tuple(anchors), tuple(tallies),
-                          chain[min(break_at)] if break_at else None)
+    return DivergenceInfo(tuple(anchors), chain[min(break_at)] if break_at else None)
 
 
 def last_intact(node, h: int):

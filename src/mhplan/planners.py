@@ -6,12 +6,15 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
 :func:`plan` is the one place where those are chosen:
 
 * ``SH``    plans against the primary map alone.
-* ``VEH``   admits edges valid in every hypothesis, averaging their costs.  A
-            start or goal that is unreachable in the intersection of free
-            space resolves to a no-plan result rather than an error.
+* ``VEH``   admits edges valid in every hypothesis and charges each the mean
+            of its per-hypothesis costs, as :func:`~mhplan.oracle.veh_reference`
+            does.  A start or goal that is unreachable in the intersection of
+            free space resolves to a no-plan result rather than an error.
 * ``PEH``   admits edges valid in at least one hypothesis and immediately
             repairs each diverged hypothesis with a rerouted detour, averaging
-            direct and detour costs into the search cost.
+            direct and detour costs into the search cost.  It has no goal
+            hook: the engine never accepts a candidate whose primary history
+            is pending.
 * ``GEH``   admits edges on primary-style cost alone and defers hypothesis
             accounting until a goal candidate pops, when each diverged
             hypothesis is rerouted from its divergence point to the goal and
@@ -42,11 +45,10 @@ keeps an antichain over histories
 whose primary history is pending never shadows an intact one, so with an
 unlimited budget GEH and GEGRH plan wherever the primary map has a plan.
 
-Only VEH and PEH carry per-hypothesis cost tallies on their nodes: VEH's g
-is their mean, and PEH's frontier and repairs read them.  SH, GEH and GEGRH
-nodes carry only the tally their g is, the primary's; a secondary
-hypothesis's tally at its anchor is derived from the chain where it is
-wanted (:func:`~mhplan.histories.divergence_point`).
+Only PEH carries per-hypothesis cost tallies on its nodes, because its
+frontier and repairs read them.  Every other node's g is its one tally: the
+primary's for SH, GEH and GEGRH, which share one policy (as do the nested
+detour searches), and the sum of per-edge means for VEH.
 
 Each nested detour search gets ``DEFAULT_REROUTE_FRACTION`` of the outer
 search's remaining budget.  A diverged secondary hypothesis that cannot reach
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 
 from . import histories
 from .costmap import HypothesisStack
@@ -91,22 +92,14 @@ MODES = tuple(m.value for m in PlannerMode)
 # -- expansion policies ------------------------------------------------------
 
 
-def _single_policy(engine, node, prim, ev, dst):
-    """Direct extension on a single-hypothesis stack."""
-    if ev.invalid:
-        return None
-    return (node.g + ev.cost[0], None, 0, None)
-
-
 def _veh_policy(engine, node, prim, ev, dst):
-    """Require validity in every hypothesis; average the per-hypothesis tallies."""
+    """Require validity in every hypothesis; charge the mean of the edge's costs."""
     if ev.invalid:
         return None
-    hyp_g = tuple(map(operator.add, node.hyp_g, ev.cost))
-    return (histories.average_edge_cost(hyp_g), hyp_g, node.pending, None)
+    return (node.g + histories.average_edge_cost(ev.cost), None, 0, None)
 
 
-def _geh_policy(engine, node, prim, ev, dst):
+def _primary_policy(engine, node, prim, ev, dst):
     """Admit on any-hypothesis validity at primary-style cost; defer repairs.
 
     The child's g is its primary tally, the one tally it carries: it
@@ -115,7 +108,8 @@ def _geh_policy(engine, node, prim, ev, dst):
     hook rewrites, are never expanded).  A hypothesis is pending where it is
     at the parent or the edge is invalid in it.  No secondary tally is
     kept, and the engine alone asks the frontier whether the child is
-    admitted.
+    admitted.  The engine never offers an edge invalid in every map, so on
+    one map (SH, every nested detour search) a child is never pending.
     """
     g = node.g + (ev.cost[0] if not ev.invalid & 1 else histories.baseline_cost(ev))
     return (g, None, node.pending | ev.invalid, None)
@@ -166,15 +160,11 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
 # -- goal hooks --------------------------------------------------------------
 
 
-def _peh_goal_hook(engine, node):
-    # A goal candidate without an intact primary history cannot be executed.
-    return not node.pending & 1
-
-
 def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
     def hook(engine, node):
         pending = node.pending
-        if node.goal_updated or not pending:
+        # Only this hook stores a GEH/GEGRH node's records.
+        if node.edges is not None or not pending:
             return True  # updated already, or nothing to reconcile
         info = histories.divergence_point(node)
         parent_g = node.parent.g  # a pending node is never the root
@@ -200,7 +190,6 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
         node.g = parent_g + new_edge
         node.pending = pending
         node.edges = tuple(edges)
-        node.goal_updated = True
         if engine.trace is not None:
             engine.trace.goal_updates.append((node.nid, tuple(terms), new_edge))
         # A candidate is updated at most once (every later pop returns at
@@ -335,7 +324,7 @@ def reroute(from_pose: Pose, to_pose, hypothesis_index: int, stack: HypothesisSt
         time_budget=budget, goal_tolerance=0.0,
     )
     problem = SearchProblem(view, lib, from_pose, Pose(tx, ty, 0), table=_table)
-    result = AnytimeSearch(problem, cfg, _single_policy, None, clock, None).run()
+    result = AnytimeSearch(problem, cfg, _primary_policy, None, clock, None).run()
     return result.trajectory
 
 
@@ -356,13 +345,13 @@ def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
     lib = lib or shared_default_library(stack.resolution)
     view, hook, frontier = stack, None, None
     if mode is PlannerMode.SH:
-        view, policy = stack.single(0), _single_policy
+        view, policy = stack.single(0), _primary_policy
     elif mode is PlannerMode.VEH:
         policy = _veh_policy
     else:
         rerouter = Rerouter(stack, lib, trace)
         if mode is PlannerMode.PEH:
-            policy, hook = _make_peh_policy(rerouter), _peh_goal_hook
+            policy = _make_peh_policy(rerouter)
             # PEH's g averages its tallies, and a pending tally is a
             # placeholder until a later repair replaces it, so the least-g
             # node at a pose, even per primary pending bit, can shadow the
@@ -372,7 +361,7 @@ def plan(mode, stack: HypothesisStack, start: Pose, goal: Pose,
             # (test_peh_keeps_incomparable_histories pins one).
             frontier = HistoryFrontier()
         else:
-            policy = _geh_policy
+            policy = _primary_policy
             hook = _make_goal_update_hook(rerouter, revise=mode is PlannerMode.GEGRH)
     # The cost-to-go field where its mask blocks exactly what the policy
     # refuses: the primary's lethal cells for SH (and every mode on one map),

@@ -7,21 +7,25 @@ edge is admitted and what per-hypothesis bookkeeping the child carries, and
 ``goal_hook(engine, node)`` answers yes or no for each goal candidate the
 search pops: True accepts it, False skips it.  A hook that updates a
 candidate's cost pushes it back with :meth:`AnytimeSearch.reinsert` before
-it answers False, so the search meets it again at its new key.  Without a
-hook every candidate is accepted.  One loop pops, expands and accepts; each
-accepted candidate lowers the inflation and rekeys the open list, until the
-final inflation is reached, the budget runs out or the open list empties.
+it answers False, so the search meets it again at its new key.  A candidate
+the hook accepts, or any candidate when there is no hook, is then accepted
+unless its primary history is pending (bit 0 of its ``pending``): the
+solution is always extracted from an intact primary history.  One loop pops,
+expands and accepts; each accepted candidate lowers the inflation and rekeys
+the open list, until the final inflation is reached, the budget runs out or
+the open list empties.
 
 A policy returns ``(g, hyp_g, pending, edges)`` for the child, or None to
 refuse the edge.  ``pending`` is a bitmask, bit ``h`` set where hypothesis
 ``h``'s history is broken (the root's is 0).  ``hyp_g`` is the tuple of
-per-hypothesis cost tallies where the mode's decisions read one (VEH, PEH),
-and None where the child's g is its one tally.  ``edges`` is None unless some
-of the child's history records are not the direct ones.  A node keeps the
-:class:`~mhplan.lattice.EdgeEvaluation` of its incoming edge, an object the
-edge table already holds, and its direct records are derived from it when
-read (:func:`~mhplan.histories.records`), so the search builds none.  The
-engine alone asks the frontier whether a child is admitted.
+per-hypothesis cost tallies where the mode's decisions read one (PEH's
+frontier and repairs), and None where the child's g is its one tally.
+``edges`` is None unless some of the child's history records are not the
+direct ones.  A node keeps the :class:`~mhplan.lattice.EdgeEvaluation` of
+its incoming edge, an object the edge table already holds, and its direct
+records are derived from it when read (:func:`~mhplan.histories.records`),
+so the search builds none.  The engine alone asks the frontier whether a
+child is admitted.
 
 The heuristic is the straight-line time to the goal region
 (:func:`heuristic`) unless the problem carries a mask of blocked cells; then
@@ -282,9 +286,9 @@ class SearchNode:
 
     ``ev`` is the evaluation of the incoming edge (None at the root).
     ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h``'s history
-    is broken.  ``hyp_g`` holds per-hypothesis cost tallies only in the modes
-    that read them (see the module docstring); elsewhere it is None, except
-    at the root.  ``edges`` holds the per-hypothesis history records only where some of
+    is broken.  ``hyp_g`` holds per-hypothesis cost tallies only where a
+    search decision reads them, in PEH and at the root; elsewhere it is None.
+    ``edges`` holds the per-hypothesis history records only where some of
     them is not the direct record of that edge (a repair's detour, a goal
     candidate's rewritten history); otherwise it is None and
     :func:`~mhplan.histories.records` derives them from ``ev``.  A node
@@ -293,7 +297,7 @@ class SearchNode:
 
     __slots__ = (
         "nid", "pose", "g", "parent", "prim_id",
-        "hyp_g", "pending", "edges", "ev", "invalid", "goal_updated",
+        "hyp_g", "pending", "edges", "ev", "invalid",
     )
 
     def __init__(self, nid: int, pose: Pose, g: float, parent, prim_id: int,
@@ -309,7 +313,6 @@ class SearchNode:
         self.edges = edges
         self.ev = ev
         self.invalid = False
-        self.goal_updated = False
 
     def __repr__(self):
         return f"SearchNode({self.nid}, {self.pose}, g={self.g:.3f})"
@@ -738,6 +741,8 @@ class AnytimeSearch:
                 continue
             if hook is not None and not hook(self, node):
                 continue  # skipped; a hook that updated the node reinserted it
+            if node.pending & 1:
+                continue  # no executable plan along a broken primary history
             if self.trace is not None:
                 self.trace.rounds.append((self.eps, node.g))
             if incumbent is None or node.g <= incumbent.g:
@@ -804,7 +809,9 @@ def extract_solution(node: SearchNode, hypothesis_index: int) -> Trajectory:
 
     Requires the history for ``hypothesis_index`` to be connected back to the
     start (pending or disconnected histories raise
-    :class:`~mhplan.histories.HistoryError`).
+    :class:`~mhplan.histories.HistoryError`).  The search calls it with the
+    primary, 0, on its incumbent, whose primary history the engine's
+    acceptance rule keeps intact.
     """
     records = histories.reconstruct(node, hypothesis_index)
     root = node

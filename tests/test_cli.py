@@ -89,6 +89,23 @@ def test_unknown_scenario_is_reported(capsys):
     assert capsys.readouterr().err.startswith("mhplan: ")
 
 
+@pytest.mark.parametrize("spec", ["clutter{size=inf}", "clutter{n=2.5,size=12}"])
+def test_non_integer_builtin_parameter_is_reported(spec):
+    # Refused before any stack is built, in a child process so that an
+    # uncaught exception would show as its traceback and exit status 1, and
+    # with nothing planned under a name that says another count than it ran.
+    src = os.path.dirname(os.path.dirname(mhplan.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhplan.cli", "plan", spec, "--modes", "SH"],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("mhplan: ") and "must be a finite integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_finite_inflation_is_rejected(capsys):
     # An infinite inflation never steps down to the final one; the config
     # refuses it before any search starts.

@@ -43,6 +43,17 @@ def test_parse_builtin():
             parse_builtin(bad)
 
 
+def test_parse_builtin_rejects_non_integer_counts():
+    # int() would truncate 2.5 silently and raise OverflowError on inf.
+    for key in ("size", "seed", "n", "shift"):
+        for value in ("2.5", "inf", "-inf", "nan", "1e400"):
+            with pytest.raises(ScenarioError, match=f"{key} must be a finite integer"):
+                parse_builtin(f"clutter{{{key}={value}}}")
+        assert parse_builtin(f"clutter{{{key}=3.0}}") == ("clutter", {key: 3.0})
+    # density is a fraction, not a count.
+    assert parse_builtin("clutter{density=0.5}") == ("clutter", {"density": 0.5})
+
+
 def test_builtin_scenario_poses():
     sc = builtin_scenario("fig3")
     assert (sc.start, sc.goal) == (Pose(5, 6, 1), Pose(9, 2, 1))

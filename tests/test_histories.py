@@ -136,7 +136,6 @@ def test_divergence_none_when_consistent():
     nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0, 0])
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, None)
-    assert info.tallies == (None, None)
     assert info.first_break is None
 
 
@@ -145,7 +144,6 @@ def test_divergence_anchor_is_last_intact():
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)], [0, 0b10, 0b10])
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, nodes[1])
-    assert info.tallies == (None, 1.0)  # one unit-cost record up to the anchor
     assert info.first_break is nodes[2]
     assert info.first_break.parent is nodes[1]
 
@@ -156,7 +154,6 @@ def test_divergence_global_first_takes_minimum_depth():
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], pendings, n_hyp=3)
     info = divergence_point(nodes[-1])
     assert info.anchors == (None, nodes[3], nodes[1])
-    assert info.tallies == (None, 3.0, 1.0)
     assert info.first_break is nodes[2]
     assert info.first_break.parent is nodes[1]
 
@@ -170,7 +167,6 @@ def test_divergence_sees_rerouted_records_as_breaks():
                  edges=(direct(root.pose, Pose(1, 0, 0)), rec))
     info = divergence_point(child)
     assert info.anchors == (None, root)
-    assert info.tallies == (None, 0.0)
     assert info.first_break is child
     assert info.first_break.parent is root
 

@@ -1037,3 +1037,35 @@ def test_no_hook_accepts_the_first_candidate():
     assert without == with_hook
     assert without.status == "solved"
     assert trace.rounds == [(1.0, met[0].g)]
+
+
+def test_the_engine_never_accepts_a_pending_primary():
+    # With no hook, a goal candidate that the policy leaves pending in the
+    # primary (bit 0) is skipped: its primary history cannot be extracted.
+    # A pending secondary does not stop a candidate.
+    free = free_stack(6, 6).primary
+    stack = HypothesisStack((free, free))
+
+    def run(bits, below):
+        """Plan with ``bits`` pending on every goal candidate of g below ``below``."""
+        def policy(engine, node, prim, ev, dst):
+            g = node.g + ev.cost[0]
+            at_goal = engine.in_goal_region(dst) and g < below
+            return (g, None, bits if at_goal else 0, None)
+
+        trace = SearchTrace()
+        problem = SearchProblem(stack, LIB, Pose(0, 0, 0), Pose(4, 3, 0))
+        return AnytimeSearch(problem, unlimited(), policy, None, trace=trace).run(), trace
+
+    clean, _ = run(0, math.inf)
+    assert clean.status == "solved"
+    res, trace = run(0b01, math.inf)
+    assert res.status == "no-plan" and trace.rounds == []
+    res, _ = run(0b10, math.inf)
+    assert res == clean
+    # Every candidate as cheap as the optimum is broken in the primary: the
+    # search goes on to a dearer candidate with an intact primary history.
+    res, trace = run(0b01, clean.cost + 1e-9)
+    assert res.status == "solved" and res.cost > clean.cost
+    assert res.duration == res.cost
+    assert trace.rounds == [(1.0, res.cost)]

@@ -396,7 +396,6 @@ def test_sh_and_veh_costs_equal_their_oracles_on_soft_costs():
     # inflation 1 and an unlimited budget, SH's cost is exactly the optimum
     # on the primary and VEH's is exactly the optimum over edges valid in
     # every map, each charged the mean of its per-map costs.
-    cfg = AnytimeConfig(initial_inflation=1.0, time_budget=math.inf)
     veh_planned = 0
     for size in (16, 24):
         start, goal = clutter_endpoints(size)
@@ -405,11 +404,11 @@ def test_sh_and_veh_costs_equal_their_oracles_on_soft_costs():
                 stack = with_soft_costs(gen_clutter(size, size, seed, 0.15, n, 2,
                                                     keep_free=(start.cell(), goal.cell())))
                 case = (size, n, seed)
-                sh = plan("SH", stack, start, goal, cfg)
+                sh = plan("SH", stack, start, goal, GREEDY_FREE)
                 assert sh.cost == dijkstra_reference(stack.primary, LIB, start,
                                                      goal).optimal_cost, case
                 ref = veh_reference(stack, LIB, start, goal)
-                veh = plan("VEH", stack, start, goal, cfg)
+                veh = plan("VEH", stack, start, goal, GREEDY_FREE)
                 assert veh.cost == ref.optimal_cost, case
                 veh_planned += ref.reachable
     assert veh_planned == 47

@@ -414,6 +414,107 @@ def test_sh_and_veh_costs_equal_their_oracles_on_soft_costs():
     assert veh_planned == 47
 
 
+# (status, cost, duration, expansions, reroutes) of PEH, GEH and GEGRH on
+# soft-cost copies of eight stacks of test_every_mode_plans_wherever_sh_plans,
+# keyed (size, n, seed).
+SOFT_COST_PINS = {
+    (16, 2, 9): (
+        ('solved', 13.915686274509802, 14.1, 68, 46),
+        ('solved', 15.252941176470587, 14.1, 116, 1),
+        ('solved', 15.498039215686273, 15.498039215686273, 87, 2),
+    ),
+    (16, 3, 3): (
+        ('solved', 16.572549019607845, 16.354901960784314, 537, 426),
+        ('solved', 16.21764705882353, 16.21764705882353, 320, 4),
+        ('solved', 16.21764705882353, 16.21764705882353, 296, 4),
+    ),
+    (16, 3, 4): (
+        ('solved', 13.873202614379084, 14.02941176470588, 109, 102),
+        ('solved', 14.36470588235294, 14.36470588235294, 91, 1),
+        ('solved', 14.211764705882352, 14.211764705882352, 81, 1),
+    ),
+    (16, 3, 10): (
+        ('solved', 16.352287581699347, 16.266666666666666, 424, 316),
+        ('solved', 17.45294117647059, 16.3, 376, 5),
+        ('solved', 17.45294117647059, 16.299999999999997, 322, 5),
+    ),
+    (24, 2, 3): (
+        ('solved', 24.020588235294113, 24.147058823529406, 882, 281),
+        ('solved', 24.917647058823526, 24.917647058823526, 641, 2),
+        ('solved', 24.917647058823526, 24.917647058823526, 665, 5),
+    ),
+    (24, 3, 1): (
+        ('solved', 23.907843137254897, 24.01176470588235, 1154, 3),
+        ('solved', 23.970588235294116, 23.970588235294116, 366, 0),
+        ('solved', 23.970588235294116, 23.970588235294116, 366, 0),
+    ),
+    (24, 3, 4): (
+        ('solved', 24.01960784313725, 24.1235294117647, 1210, 324),
+        ('solved', 24.082352941176467, 24.082352941176467, 417, 2),
+        ('solved', 24.082352941176467, 24.082352941176467, 424, 6),
+    ),
+    (24, 3, 7): (
+        ('solved', 24.022875816993462, 23.970588235294116, 1225, 359),
+        ('solved', 25.821568627450976, 23.970588235294116, 1052, 12),
+        ('solved', 25.97450980392156, 24.123529411764707, 1083, 16),
+    ),
+}
+
+
+def test_history_modes_pin_their_results_on_soft_costs():
+    # No oracle covers PEH, GEH or GEGRH, and on gen_clutter's own stacks
+    # every edge costs 1.0 or 1.5, so every sum is exact in any order.  With
+    # soft costs that differ between maps, a tally summed in another order
+    # or from other terms moves the last bits: averaging PEH's tallies in
+    # reverse moves its cost on (16, 3, 4), (24, 3, 1) and (24, 3, 4).
+    for (size, n, seed), pinned in SOFT_COST_PINS.items():
+        start, goal = clutter_endpoints(size)
+        stack = with_soft_costs(gen_clutter(size, size, seed, 0.15, n, 2,
+                                            keep_free=(start.cell(), goal.cell())))
+        for mode, want in zip(("PEH", "GEH", "GEGRH"), pinned):
+            res = plan(mode, stack, start, goal, UNLIMITED)
+            got = (res.status, res.cost, res.duration, res.expansions, res.reroutes)
+            assert got == want, (size, n, seed, mode)
+
+
+def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
+    # The goal hook reads each anchor as last_intact and the first break as
+    # the shallowest pending node.  Both rest on two facts about the chain of
+    # every candidate it reconciles: a node's pending mask contains its
+    # parent's, and no node above the candidate stores records (only the
+    # hook stores them, on candidates, which are never expanded).
+    checked = {False: 0, True: 0}
+    soft = False
+    make_hook = planners._make_goal_update_hook
+
+    def checking_hook(rerouter, revise):
+        hook = make_hook(rerouter, revise)
+
+        def wrapped(engine, node):
+            if node.edges is None and node.pending:
+                cur = node
+                while cur.parent is not None:
+                    assert not cur.parent.pending & ~cur.pending, cur
+                    cur = cur.parent
+                    assert cur.edges is None, cur
+                checked[soft] += 1
+            return hook(engine, node)
+
+        return wrapped
+
+    monkeypatch.setattr(planners, "_make_goal_update_hook", checking_hook)
+    for size in (16, 24):
+        start, goal = clutter_endpoints(size)
+        for n in (2, 3):
+            for seed in range(12):
+                stack = gen_clutter(size, size, seed, 0.15, n, 2,
+                                    keep_free=(start.cell(), goal.cell()))
+                for soft, view in ((False, stack), (True, with_soft_costs(stack))):
+                    for mode in ("GEH", "GEGRH"):
+                        plan(mode, view, start, goal, UNLIMITED)
+    assert checked == {False: 939, True: 1897}
+
+
 # -- cyclic garbage collector ------------------------------------------------
 
 

@@ -37,7 +37,9 @@ def _env_flag(name: str) -> bool:
     return raw is not None and raw.lower() not in ("", "0", "false", "no")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_planning(p: argparse.ArgumentParser) -> None:
+    """Flags of the commands that build their one scenario from the command
+    line; ``suite`` takes its scenarios, configs included, from files."""
     p.add_argument("--modes", default=_env("MODES"),
                    help="comma separated planner modes (default: all five)")
     p.add_argument("--budget", type=float,
@@ -59,14 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run one scenario and print the results")
     p.add_argument("scenario",
                    help="builtin name (fig3, fig4, seal, clutter{...}) or .mhscen file")
-    _add_common(p)
+    _add_planning(p)
     p.add_argument("--wallclock", action="store_true",
                    default=_env_flag("wallclock"),
                    help="measure real elapsed time instead of the deterministic clock")
 
     p = sub.add_parser("suite", help="run a scenario file or directory")
     p.add_argument("path", help=".mhscen file or directory of them")
-    _add_common(p)
+    p.add_argument("--out", default=_env("OUT"), help="write the records CSV here")
     p.add_argument("--jobs", type=int, default=_env_typed("jobs", int, 1),
                    help="parallel scenario workers (default 1)")
 
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="plan a scenario and emit an SVG overlay")
     p.add_argument("scenario", help="builtin name or .mhscen file")
-    _add_common(p)
+    _add_planning(p)
     return parser
 
 

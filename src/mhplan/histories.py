@@ -12,6 +12,13 @@ spliced in by a repair, or a goal candidate's rewritten history.  Full
 per-hypothesis trajectories are reconstructed by walking the parent chain
 and stitching the records together.
 
+Divergence is read from the masks alone.  A pending hypothesis is repaired
+by a detour from its anchor, its :func:`last_intact` ancestor.  A child's
+mask is its parent's with the edge's invalid bits added, and only a stored
+repair clears a bit.  No record is stored above a GEH/GEGRH goal candidate,
+so on its chain the first break is the shallowest pending node
+(:func:`divergence_point`).
+
 Per-hypothesis cost tallies are kept on a node (``hyp_g``) only by PEH, whose
 frontier and repairs read them (:func:`advance`).  Elsewhere a node's g is
 its one tally.
@@ -19,7 +26,6 @@ its one tally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import EdgeEvaluation, MotionPrimitive, Pose, Trajectory
@@ -42,22 +48,6 @@ class EdgeRecord(NamedTuple):
     dst: Pose
     prim_id: int | None = None  # DIRECT
     detour: Trajectory | None = None  # REROUTED
-
-
-@dataclass(frozen=True)
-class DivergenceInfo:
-    """Where each hypothesis's history stops matching the primary one.
-
-    ``anchors[h]`` is the deepest node on the chain whose history for
-    hypothesis ``h`` is still an exact pose-for-pose prefix of the primary
-    history (None when the hypothesis never diverged).  ``first_break`` is
-    the earliest node on the chain whose history no longer matches in some
-    hypothesis (None when none diverged); it is never the root, and its
-    parent is the shallowest anchor.
-    """
-
-    anchors: tuple[object | None, ...]
-    first_break: object | None
 
 
 def average_edge_cost(costs) -> float:
@@ -125,40 +115,24 @@ def records(node) -> tuple[EdgeRecord | None, ...] | None:
     return direct_records(node.pending, node.ev.cost, parent.pose, node.pose, node.prim_id)
 
 
-def _chain(node) -> list:
-    """Parent chain of ``node``, root first."""
-    chain = []
-    cur = node
-    while cur is not None:
-        chain.append(cur)
-        cur = cur.parent
-    chain.reverse()
-    return chain
+def divergence_point(node):
+    """The shallowest pending node on ``node``'s chain, or None when
+    ``node``'s own mask is 0.
 
-
-def divergence_point(node) -> DivergenceInfo:
-    """Locate, per hypothesis, the last node whose history still matched the
-    primary.
-
-    A history breaks where it is pending or where its record is REROUTED;
-    only explicitly stored ``edges`` can hold a REROUTED record.  The root
-    has no history, so nothing diverges there.
+    It relies on masks that only grow down the chain: a child's mask is its
+    parent's with the edge's invalid bits added (:func:`advance`), and only
+    a stored repair clears a bit.  Then the pending nodes are the chain's
+    tail, the returned node's parent is intact in every hypothesis, and
+    hypothesis ``h`` broke just below ``last_intact(node, h)``.  Every
+    GEH/GEGRH goal candidate's chain qualifies: only the goal hook stores
+    records, and only on candidates, which are never expanded.  The root's
+    mask is 0, so the walk stops below it.
     """
-    chain = _chain(node)
-    recs = records(node)
-    anchors: list[object | None] = []
-    break_at: list[int] = []
-    for h in range(0 if recs is None else len(recs)):
-        anchor = None
-        for i in range(1, len(chain)):  # the root carries no incoming edge
-            cur = chain[i]
-            rec = cur.edges[h] if cur.edges is not None else None
-            if cur.pending >> h & 1 or (rec is not None and rec.kind == REROUTED):
-                anchor = chain[i - 1]
-                break_at.append(i)
-                break
-        anchors.append(anchor)
-    return DivergenceInfo(tuple(anchors), chain[min(break_at)] if break_at else None)
+    if not node.pending:
+        return None
+    while node.parent.pending:
+        node = node.parent
+    return node
 
 
 def last_intact(node, h: int):

@@ -17,14 +17,16 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
             is pending.
 * ``GEH``   admits edges on primary-style cost alone and defers hypothesis
             accounting until a goal candidate pops, when each diverged
-            hypothesis is rerouted from its divergence point to the goal and
-            the goal-edge cost becomes the average of the candidate edge and
-            those detours.
+            hypothesis is rerouted to the goal from its last intact ancestor,
+            as PEH reroutes, and the goal-edge cost becomes the average of
+            the candidate edge and those detours.
 * ``GEGRH`` is GEH plus graph revision: after a goal-edge update the candidate
-            is rewired past the earliest divergence point and that stale
-            subtree is dropped, concentrating further effort where the world
-            hypotheses actually disagree.  Each goal candidate is updated,
-            and so revised, at most once, which bounds the revision loop.
+            is rewired to the parent of the shallowest pending node on its
+            chain, the last node intact in every hypothesis, and that
+            node's stale subtree is dropped, concentrating further effort
+            where the world hypotheses actually disagree.  Each goal
+            candidate is updated, and so revised, at most once, which bounds
+            the revision loop.
 
 SH and VEH search with a :class:`~mhplan.search_core.CostToGo` heuristic: its
 mask is the primary's lethal cells for SH and the cells lethal in any
@@ -129,6 +131,19 @@ def _make_peh_policy(rerouter: "Rerouter"):
     return policy
 
 
+def _detours(engine, rerouter, parent, pending, target_cell):
+    """Reroute each hypothesis set in ``pending`` from its anchor, its last
+    intact ancestor of ``parent``, to ``target_cell``.
+
+    Yields ``(h, anchor, traj)`` in hypothesis order, ``traj`` None where no
+    detour was found.  A caller that stops iterating starts no later reroute.
+    """
+    for h in range(pending.bit_length()):
+        if pending >> h & 1:
+            anchor = histories.last_intact(parent, h)
+            yield h, anchor, rerouter.reroute(engine, anchor.pose, target_cell, h)
+
+
 def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
     """Try to close every pending hypothesis with a detour ending at ``dst``.
 
@@ -139,11 +154,7 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
     new_g = list(hyp_g)
     new_pending = pending
     edges = None
-    for h in range(pending.bit_length()):
-        if not pending >> h & 1:
-            continue
-        anchor = histories.last_intact(parent, h)
-        traj = rerouter.reroute(engine, anchor.pose, dst.cell(), h)
+    for h, anchor, traj in _detours(engine, rerouter, parent, pending, dst.cell()):
         if traj is None:
             continue
         if edges is None:
@@ -166,17 +177,12 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
         # Only this hook stores a GEH/GEGRH node's records.
         if node.edges is not None or not pending:
             return True  # updated already, or nothing to reconcile
-        info = histories.divergence_point(node)
-        parent_g = node.parent.g  # a pending node is never the root
-        goal_edge = node.g - parent_g
+        parent = node.parent  # a pending node is never the root
+        goal_edge = node.g - parent.g
         terms = [goal_edge]
         edges = list(histories.records(node))
-        goal_cell = node.pose.cell()
-        for h in range(pending.bit_length()):
-            if not pending >> h & 1:
-                continue
-            anchor = info.anchors[h]
-            traj = rerouter.reroute(engine, anchor.pose, goal_cell, h)
+        for h, anchor, traj in _detours(engine, rerouter, parent, pending,
+                                        node.pose.cell()):
             if traj is None:
                 if h == 0:
                     return False  # primary trajectory cannot be realized
@@ -186,16 +192,18 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
                 pending &= ~(1 << h)
                 edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, node.pose,
                                       detour=traj)
+        # Read while the candidate's mask is still the one its chain grew.
+        first_break = histories.divergence_point(node) if revise else None
         new_edge = histories.average_edge_cost(terms)
-        node.g = parent_g + new_edge
+        node.g = parent.g + new_edge
         node.pending = pending
         node.edges = tuple(edges)
         if engine.trace is not None:
             engine.trace.goal_updates.append((node.nid, tuple(terms), new_edge))
         # A candidate is updated at most once (every later pop returns at
         # the top), so it is revised at most once too.
-        if revise and info.first_break is not None:
-            graph_revision(engine, node, info.first_break)
+        if revise:
+            graph_revision(engine, node, first_break)
         engine.reinsert(node)
         return False
 
@@ -230,13 +238,13 @@ def _consolidate_goal_edges(goal_node, new_parent) -> None:
 def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
     """Rewire an updated goal candidate past the divergence point.
 
-    ``divergence_node`` is the earliest node whose history broke in some
-    hypothesis, so its parent is the last ancestor intact everywhere.  The
-    candidate's parent pointer moves there, and ``engine.revoke`` drops the
-    divergence node's whole subtree from the open list and the frontier and
-    bars it from re-expansion (its poses stay reachable through freshly
-    created nodes).  The surviving candidate acts as one long
-    independent edge, and later expansions concentrate around the divergence
+    ``divergence_node`` is the shallowest pending node on the candidate's
+    chain (:func:`~mhplan.histories.divergence_point`), so its parent is
+    the last ancestor intact everywhere.  The candidate's parent pointer
+    moves there, and ``engine.revoke`` drops the divergence node's whole
+    subtree from the open list and the frontier and bars it from
+    re-expansion (its poses stay reachable through freshly created nodes).
+    The surviving candidate acts as one long independent edge, and later expansions concentrate around the divergence
     region instead of the goal.
     """
     nd = divergence_node

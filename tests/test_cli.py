@@ -166,6 +166,18 @@ def test_suite_rejects_fewer_than_one_job(tmp_path, capsys):
         assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [("--modes", "SH"), ("--budget", "0.001"),
+                                  ("--seed", "9"), ("--inflation", "3")])
+def test_suite_refuses_planning_flags(tmp_path, capsys, flag):
+    # A suite's scenarios carry their own modes, seeds and configs, so these
+    # flags would change nothing; argparse refuses them instead.
+    write_scenario(tmp_path, "a", "fig3", ("SH",))
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_summarize_round_trip(tmp_path, capsys):
     write_scenario(tmp_path, "a", "fig3", ("SH", "VEH"))
     csv_path = os.path.join(tmp_path, "results.csv")

@@ -3,10 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from mhplan.histories import (DIRECT, REROUTED, DivergenceInfo, EdgeRecord,
-                              HistoryError, average_edge_cost, baseline_cost,
-                              divergence_point, last_intact, reconstruct,
-                              record_expansion, records, stitch)
+from mhplan.histories import (DIRECT, REROUTED, EdgeRecord, HistoryError,
+                              average_edge_cost, baseline_cost, divergence_point,
+                              last_intact, reconstruct, record_expansion, records,
+                              stitch)
 from mhplan.lattice import (EdgeEvaluation, Pose, Trajectory, default_library)
 
 LIB = default_library()
@@ -134,41 +134,27 @@ def test_records_derive_direct_records_from_the_incoming_edge():
 
 def test_divergence_none_when_consistent():
     nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0, 0])
-    info = divergence_point(nodes[-1])
-    assert info.anchors == (None, None)
-    assert info.first_break is None
+    assert divergence_point(nodes[-1]) is None
+    assert [last_intact(nodes[-1], h) for h in (0, 1)] == [nodes[-1]] * 2
 
 
 def test_divergence_anchor_is_last_intact():
     # Secondary breaks on the edge into node 2.
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)], [0, 0b10, 0b10])
-    info = divergence_point(nodes[-1])
-    assert info.anchors == (None, nodes[1])
-    assert info.first_break is nodes[2]
-    assert info.first_break.parent is nodes[1]
+    first_break = divergence_point(nodes[-1])
+    assert first_break is nodes[2]
+    assert first_break.parent is nodes[1]
+    assert last_intact(nodes[-1], 1) is nodes[1]
 
 
 def test_divergence_global_first_takes_minimum_depth():
     # Three hypotheses: h1 breaks entering node 4, h2 entering node 2.
     pendings = [0, 0b100, 0b100, 0b110]
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], pendings, n_hyp=3)
-    info = divergence_point(nodes[-1])
-    assert info.anchors == (None, nodes[3], nodes[1])
-    assert info.first_break is nodes[2]
-    assert info.first_break.parent is nodes[1]
-
-
-def test_divergence_sees_rerouted_records_as_breaks():
-    root = node(Pose(0, 0, 0))
-    detour = Trajectory(((Pose(0, 0, 0), 2, Pose(0, 1, 6)),
-                         (Pose(0, 1, 6), 18, Pose(1, 1, 6))), 2.0, Pose(0, 0, 0))
-    rec = EdgeRecord(REROUTED, 2.0, Pose(0, 0, 0), Pose(1, 0, 0), detour=detour)
-    child = node(Pose(1, 0, 0), root, pending=0,
-                 edges=(direct(root.pose, Pose(1, 0, 0)), rec))
-    info = divergence_point(child)
-    assert info.anchors == (None, root)
-    assert info.first_break is child
-    assert info.first_break.parent is root
+    first_break = divergence_point(nodes[-1])
+    assert first_break is nodes[2]
+    assert first_break.parent is nodes[1]
+    assert [last_intact(nodes[-1], h) for h in (1, 2)] == [nodes[3], nodes[1]]
 
 
 def test_last_intact_walks_past_pending():

@@ -419,44 +419,44 @@ def test_sh_and_veh_costs_equal_their_oracles_on_soft_costs():
 # keyed (size, n, seed).
 SOFT_COST_PINS = {
     (16, 2, 9): (
-        ('solved', 13.915686274509802, 14.1, 68, 46),
-        ('solved', 15.252941176470587, 14.1, 116, 1),
-        ('solved', 15.498039215686273, 15.498039215686273, 87, 2),
+        ("solved", 13.915686274509802, 14.1, 68, 46),
+        ("solved", 15.252941176470587, 14.1, 116, 1),
+        ("solved", 15.498039215686273, 15.498039215686273, 87, 2),
     ),
     (16, 3, 3): (
-        ('solved', 16.572549019607845, 16.354901960784314, 537, 426),
-        ('solved', 16.21764705882353, 16.21764705882353, 320, 4),
-        ('solved', 16.21764705882353, 16.21764705882353, 296, 4),
+        ("solved", 16.572549019607845, 16.354901960784314, 537, 426),
+        ("solved", 16.21764705882353, 16.21764705882353, 320, 4),
+        ("solved", 16.21764705882353, 16.21764705882353, 296, 4),
     ),
     (16, 3, 4): (
-        ('solved', 13.873202614379084, 14.02941176470588, 109, 102),
-        ('solved', 14.36470588235294, 14.36470588235294, 91, 1),
-        ('solved', 14.211764705882352, 14.211764705882352, 81, 1),
+        ("solved", 13.873202614379084, 14.02941176470588, 109, 102),
+        ("solved", 14.36470588235294, 14.36470588235294, 91, 1),
+        ("solved", 14.211764705882352, 14.211764705882352, 81, 1),
     ),
     (16, 3, 10): (
-        ('solved', 16.352287581699347, 16.266666666666666, 424, 316),
-        ('solved', 17.45294117647059, 16.3, 376, 5),
-        ('solved', 17.45294117647059, 16.299999999999997, 322, 5),
+        ("solved", 16.352287581699347, 16.266666666666666, 424, 316),
+        ("solved", 17.45294117647059, 16.3, 376, 5),
+        ("solved", 17.45294117647059, 16.299999999999997, 322, 5),
     ),
     (24, 2, 3): (
-        ('solved', 24.020588235294113, 24.147058823529406, 882, 281),
-        ('solved', 24.917647058823526, 24.917647058823526, 641, 2),
-        ('solved', 24.917647058823526, 24.917647058823526, 665, 5),
+        ("solved", 24.020588235294113, 24.147058823529406, 882, 281),
+        ("solved", 24.917647058823526, 24.917647058823526, 641, 2),
+        ("solved", 24.917647058823526, 24.917647058823526, 665, 5),
     ),
     (24, 3, 1): (
-        ('solved', 23.907843137254897, 24.01176470588235, 1154, 3),
-        ('solved', 23.970588235294116, 23.970588235294116, 366, 0),
-        ('solved', 23.970588235294116, 23.970588235294116, 366, 0),
+        ("solved", 23.907843137254897, 24.01176470588235, 1154, 3),
+        ("solved", 23.970588235294116, 23.970588235294116, 366, 0),
+        ("solved", 23.970588235294116, 23.970588235294116, 366, 0),
     ),
     (24, 3, 4): (
-        ('solved', 24.01960784313725, 24.1235294117647, 1210, 324),
-        ('solved', 24.082352941176467, 24.082352941176467, 417, 2),
-        ('solved', 24.082352941176467, 24.082352941176467, 424, 6),
+        ("solved", 24.01960784313725, 24.1235294117647, 1210, 324),
+        ("solved", 24.082352941176467, 24.082352941176467, 417, 2),
+        ("solved", 24.082352941176467, 24.082352941176467, 424, 6),
     ),
     (24, 3, 7): (
-        ('solved', 24.022875816993462, 23.970588235294116, 1225, 359),
-        ('solved', 25.821568627450976, 23.970588235294116, 1052, 12),
-        ('solved', 25.97450980392156, 24.123529411764707, 1083, 16),
+        ("solved", 24.022875816993462, 23.970588235294116, 1225, 359),
+        ("solved", 25.821568627450976, 23.970588235294116, 1052, 12),
+        ("solved", 25.97450980392156, 24.123529411764707, 1083, 16),
     ),
 }
 

@@ -49,7 +49,8 @@ def _add_planning(p: argparse.ArgumentParser) -> None:
                    default=_env_typed("inflation", float, None),
                    help="initial heuristic inflation (default 2.0)")
     p.add_argument("--seed", type=int, default=_env_typed("seed", int, None),
-                   help="generator seed for clutter scenarios")
+                   help="generator seed for builtin clutter scenarios "
+                        "(a scenario file fixes its own)")
     p.add_argument("--out", default=_env("OUT"), help="output file path")
 
 
@@ -87,6 +88,8 @@ def _resolve_scenario(args) -> harness.Scenario:
     modes = tuple(PlannerMode(m.strip()) for m in args.modes.split(",")) \
         if args.modes else MODES
     if os.path.exists(spec) or spec.endswith(".mhscen"):
+        if args.seed is not None:
+            raise ValueError(f"--seed applies to builtin scenarios; {spec} fixes its own")
         sc = harness.load_scenario(spec)
         if args.modes:
             sc = replace(sc, modes=modes)

@@ -1,23 +1,25 @@
-"""Per-hypothesis expansion histories, divergence detection, and cost averaging.
+"""Expansion histories, divergence detection, and cost averaging.
 
-Every search node has, for each world hypothesis, the incremental edge record
-that extended that hypothesis's trajectory at this step, or none where the
-hypothesis is pending (its history broke and waits for a repair).  A node's
+The search executes one trajectory, the primary's, so a search node keeps
+the primary's history alone.  Each node has the incremental edge record
+that extended the primary's trajectory at this step, or none where the
+primary is pending (its history broke and waits for a repair).  Most records
+are DIRECT and follow from the node's incoming edge, so a node stores none;
+:func:`record` rebuilds it when it is read.  A node stores its record
+explicitly only where it is not the direct one: a REROUTED detour spliced in
+by a repair of the primary, or a GEGRH goal candidate's consolidated span.
+The primary trajectory is reconstructed by walking the parent chain and
+stitching the records together.
+
+Secondary hypotheses only feed costs, and keep no records.  A node's
 ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h`` is pending.
-Most records are DIRECT and follow from the node's incoming edge, so a node
-stores only its pending mask; :func:`records` rebuilds the records when they
-are read, through :func:`direct_records`.  A node stores its records
-explicitly only where some record is not the direct one: a REROUTED detour
-spliced in by a repair, or a goal candidate's rewritten history.  Full
-per-hypothesis trajectories are reconstructed by walking the parent chain
-and stitching the records together.
-
 Divergence is read from the masks alone.  A pending hypothesis is repaired
 by a detour from its anchor, its :func:`last_intact` ancestor.  A child's
-mask is its parent's with the edge's invalid bits added, and only a stored
-repair clears a bit.  No record is stored above a GEH/GEGRH goal candidate,
-so on its chain the first break is the shallowest pending node
-(:func:`divergence_point`).
+mask is its parent's with the edge's invalid bits added.  Only a PEH repair
+clears a bit, or the goal hook, which clears a GEH/GEGRH goal candidate's
+whole mask once its cost accounts for every hypothesis.  Candidates are never
+expanded, so on a candidate's chain the first break is the shallowest pending
+node (:func:`divergence_point`).
 
 Per-hypothesis cost tallies are kept on a node (``hyp_g``) only by PEH, whose
 frontier and repairs read them (:func:`advance`).  Elsewhere a node's g is
@@ -35,12 +37,12 @@ REROUTED = "rerouted"
 
 
 class HistoryError(RuntimeError):
-    """Raised when a per-hypothesis history cannot be stitched into a trajectory."""
+    """Raised when the primary history cannot be stitched into a trajectory."""
 
 
 class EdgeRecord(NamedTuple):
-    """One history increment for one hypothesis (a named tuple: DIRECT ones
-    are rebuilt every time a node's records are read)."""
+    """One increment of the primary's history (a named tuple: DIRECT ones are
+    rebuilt every time a node's record is read)."""
 
     kind: str  # DIRECT or REROUTED
     cost: float
@@ -80,39 +82,31 @@ def advance(parent, evaluation: EdgeEvaluation) -> tuple[tuple[float, ...], int]
                   for h, (g, c) in enumerate(zip(parent.hyp_g, evaluation.cost))]), pending
 
 
-def direct_records(pending: int, costs, src: Pose, dst: Pose,
-                   prim_id: int) -> tuple[EdgeRecord | None, ...]:
-    """History increments of a child across one direct edge: a DIRECT record
-    at the hypothesis's own cost for each hypothesis whose bit in ``pending``
-    is clear, and None for each whose bit is set."""
-    return tuple([None if pending >> h & 1 else EdgeRecord(DIRECT, c, src, dst, prim_id)
-                  for h, c in enumerate(costs)])
-
-
 def record_expansion(parent, evaluation: EdgeEvaluation, prim: MotionPrimitive,
-                     dst: Pose) -> tuple[tuple[float, ...], int,
-                                         tuple[EdgeRecord | None, ...]]:
-    """Extend the parent's per-hypothesis histories across one direct edge.
+                     dst: Pose) -> tuple[tuple[float, ...], int, EdgeRecord | None]:
+    """Extend the parent's histories across one direct edge.
 
-    Returns ``(hyp_g, pending, edges)`` for the child node: the tallies and
-    mask of :func:`advance` and the records of :func:`direct_records`.
+    Returns ``(hyp_g, pending, record)`` for the child node: the tallies and
+    mask of :func:`advance`, and the primary's DIRECT record, or None where
+    the primary is pending.
     """
     hyp_g, pending = advance(parent, evaluation)
-    return hyp_g, pending, direct_records(pending, evaluation.cost, parent.pose, dst,
-                                          prim.id)
+    rec = None if pending & 1 else EdgeRecord(DIRECT, evaluation.cost[0], parent.pose,
+                                              dst, prim.id)
+    return hyp_g, pending, rec
 
 
-def records(node) -> tuple[EdgeRecord | None, ...] | None:
-    """History increments of ``node``: its explicit ``edges`` when it has
-    them, otherwise the :func:`direct_records` of its incoming edge, and None
-    at the root."""
-    edges = node.edges
-    if edges is not None:
-        return edges
+def record(node) -> EdgeRecord | None:
+    """The primary's history increment at ``node``: its explicit ``record``
+    when it has one, otherwise the DIRECT record of its incoming edge, and
+    None at the root or where the primary is pending."""
+    rec = node.record
+    if rec is not None:
+        return rec
     parent = node.parent
-    if parent is None:
+    if parent is None or node.pending & 1:
         return None
-    return direct_records(node.pending, node.ev.cost, parent.pose, node.pose, node.prim_id)
+    return EdgeRecord(DIRECT, node.ev.cost[0], parent.pose, node.pose, node.prim_id)
 
 
 def divergence_point(node):
@@ -121,12 +115,12 @@ def divergence_point(node):
 
     It relies on masks that only grow down the chain: a child's mask is its
     parent's with the edge's invalid bits added (:func:`advance`), and only
-    a stored repair clears a bit.  Then the pending nodes are the chain's
+    a PEH repair clears a bit.  Then the pending nodes are the chain's
     tail, the returned node's parent is intact in every hypothesis, and
     hypothesis ``h`` broke just below ``last_intact(node, h)``.  Every
-    GEH/GEGRH goal candidate's chain qualifies: only the goal hook stores
-    records, and only on candidates, which are never expanded.  The root's
-    mask is 0, so the walk stops below it.
+    GEH/GEGRH goal candidate's chain qualifies until the goal hook updates
+    it: the hook alone rewrites a mask there, and only a candidate's, which
+    is never expanded.  The root's mask is 0, so the walk stops below it.
     """
     if not node.pending:
         return None
@@ -145,31 +139,31 @@ def last_intact(node, h: int):
     raise HistoryError(f"hypothesis {h} has no intact ancestor")
 
 
-def reconstruct(node, h: int, since=None) -> list[EdgeRecord]:
-    """Ordered edge records of hypothesis ``h`` along the chain to ``node``,
-    from the root, or only those of the nodes below ``since`` when it is given.
+def reconstruct(node, since=None) -> list[EdgeRecord]:
+    """Ordered primary edge records along the chain to ``node``, from the
+    root, or only those of the nodes below ``since`` when it is given.
 
-    Raises :class:`HistoryError` when the history is pending at the tip,
+    Raises :class:`HistoryError` when the primary is pending at the tip,
     ``since`` is not an ancestor of ``node``, or the collected records do not
     chain contiguously.
     """
-    if node.pending >> h & 1:
-        raise HistoryError(f"hypothesis {h} is pending at the requested node")
+    if node.pending & 1:
+        raise HistoryError("the primary is pending at the requested node")
     out: list[EdgeRecord] = []
     cur = node
     while cur is not since:
         if cur is None:
             raise HistoryError("the node to reconstruct from is not an ancestor")
-        recs = records(cur)
-        if recs is not None and recs[h] is not None:
-            out.append(recs[h])
+        rec = record(cur)
+        if rec is not None:
+            out.append(rec)
         cur = cur.parent
     out.reverse()
     tail: Pose | None = None
     for rec in out:
         if tail is not None and rec.src.cell() != tail.cell():
             raise HistoryError(
-                f"hypothesis {h} history is disconnected: segment starts at "
+                f"the primary history is disconnected: segment starts at "
                 f"{rec.src.cell()} but previous segment ended at {tail.cell()}"
             )
         tail = rec.dst

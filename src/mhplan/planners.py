@@ -24,9 +24,11 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
             is rewired to the parent of the shallowest pending node on its
             chain, the last node intact in every hypothesis, and that
             node's stale subtree is dropped, concentrating further effort
-            where the world hypotheses actually disagree.  Each goal
-            candidate is updated, and so revised, at most once, which bounds
-            the revision loop.
+            where the world hypotheses actually disagree.  The candidate's
+            primary record becomes one span from that parent.  A candidate
+            whose own parent is intact everywhere has nothing to rewire and
+            is not revised.  Each goal candidate is updated, and so revised,
+            at most once, which bounds the revision loop.
 
 SH and VEH search with a :class:`~mhplan.search_core.CostToGo` heuristic: its
 mask is the primary's lethal cells for SH and the cells lethal in any
@@ -120,13 +122,12 @@ def _primary_policy(engine, node, prim, ev, dst):
 def _make_peh_policy(rerouter: "Rerouter"):
     def policy(engine, node, prim, ev, dst):
         hyp_g, pending = histories.advance(node, ev)
-        edges = None
+        rec = None
         if pending:
-            hyp_g, pending, edges = _repair_pending(
-                engine, rerouter, node, prim, ev, dst, hyp_g, pending
-            )
+            hyp_g, pending, rec = _repair_pending(engine, rerouter, node, dst, hyp_g,
+                                                  pending)
         g = histories.average_edge_cost(hyp_g)
-        return (g, hyp_g, pending, edges)
+        return (g, hyp_g, pending, rec)
 
     return policy
 
@@ -144,28 +145,23 @@ def _detours(engine, rerouter, parent, pending, target_cell):
             yield h, anchor, rerouter.reroute(engine, anchor.pose, target_cell, h)
 
 
-def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
+def _repair_pending(engine, rerouter, parent, dst, hyp_g, pending):
     """Try to close every pending hypothesis with a detour ending at ``dst``.
 
-    Returns the updated tallies and pending mask, and the child's records:
-    None when nothing was repaired (they are the direct ones), otherwise the
-    direct records with each repaired hypothesis's detour spliced in.
+    Returns the updated tallies and pending mask, and the child's record:
+    the primary's detour where it was repaired, otherwise None (the direct
+    record, or none while the primary stays pending).
     """
     new_g = list(hyp_g)
-    new_pending = pending
-    edges = None
+    rec = None
     for h, anchor, traj in _detours(engine, rerouter, parent, pending, dst.cell()):
         if traj is None:
             continue
-        if edges is None:
-            edges = list(histories.direct_records(pending, ev.cost, parent.pose, dst,
-                                                  prim.id))
         new_g[h] = anchor.hyp_g[h] + traj.duration
-        new_pending &= ~(1 << h)
-        edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, dst, detour=traj)
-    if edges is None:
-        return hyp_g, pending, None
-    return tuple(new_g), new_pending, tuple(edges)
+        pending &= ~(1 << h)
+        if h == 0:
+            rec = EdgeRecord(REROUTED, traj.duration, anchor.pose, dst, detour=traj)
+    return tuple(new_g), pending, rec
 
 
 # -- goal hooks --------------------------------------------------------------
@@ -174,13 +170,11 @@ def _repair_pending(engine, rerouter, parent, prim, ev, dst, hyp_g, pending):
 def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
     def hook(engine, node):
         pending = node.pending
-        # Only this hook stores a GEH/GEGRH node's records.
-        if node.edges is not None or not pending:
-            return True  # updated already, or nothing to reconcile
+        if not pending:
+            return True  # nothing to reconcile, or updated already
         parent = node.parent  # a pending node is never the root
         goal_edge = node.g - parent.g
         terms = [goal_edge]
-        edges = list(histories.records(node))
         for h, anchor, traj in _detours(engine, rerouter, parent, pending,
                                         node.pose.cell()):
             if traj is None:
@@ -189,20 +183,21 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
                 terms.append(DEFAULT_REROUTE_PENALTY * goal_edge)
             else:
                 terms.append(traj.duration)
-                pending &= ~(1 << h)
-                edges[h] = EdgeRecord(REROUTED, traj.duration, anchor.pose, node.pose,
-                                      detour=traj)
+                if h == 0:
+                    node.record = EdgeRecord(REROUTED, traj.duration, anchor.pose,
+                                             node.pose, detour=traj)
         # Read while the candidate's mask is still the one its chain grew.
         first_break = histories.divergence_point(node) if revise else None
         new_edge = histories.average_edge_cost(terms)
         node.g = parent.g + new_edge
-        node.pending = pending
-        node.edges = tuple(edges)
+        node.pending = 0  # every hypothesis is in the cost: a detour or a penalty
         if engine.trace is not None:
             engine.trace.goal_updates.append((node.nid, tuple(terms), new_edge))
         # A candidate is updated at most once (every later pop returns at
-        # the top), so it is revised at most once too.
-        if revise:
+        # the top), so it is revised at most once too.  One whose parent is
+        # intact everywhere is its own first break: there is nothing to
+        # rewire, and revising it would revoke the candidate itself.
+        if revise and first_break is not node:
             graph_revision(engine, node, first_break)
         engine.reinsert(node)
         return False
@@ -214,25 +209,16 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
 
 
 def _consolidate_goal_edges(goal_node, new_parent) -> None:
-    """Collapse the goal candidate's records into single spans from ``new_parent``.
+    """Collapse the goal candidate's primary records below ``new_parent``
+    into one span.
 
-    After the rewire the nodes between ``new_parent`` and the goal are gone, so
-    each non-pending hypothesis gets one record carrying the whole stitched
-    segment.  Pending hypotheses stay pending (their history has no usable
-    tail).
+    After the rewire the nodes between ``new_parent`` and the goal are gone,
+    so the candidate's record carries the whole stitched segment.
     """
-    edges = []
-    for h in range(len(goal_node.edges)):
-        if goal_node.pending >> h & 1:
-            edges.append(None)
-            continue
-        seg = histories.reconstruct(goal_node, h, since=new_parent)
-        detour = histories.stitch(seg, new_parent.pose)
-        edges.append(
-            EdgeRecord(REROUTED, detour.duration, new_parent.pose, goal_node.pose,
-                       detour=detour)
-        )
-    goal_node.edges = tuple(edges)
+    detour = histories.stitch(histories.reconstruct(goal_node, since=new_parent),
+                              new_parent.pose)
+    goal_node.record = EdgeRecord(REROUTED, detour.duration, new_parent.pose,
+                                  goal_node.pose, detour=detour)
 
 
 def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
@@ -244,8 +230,9 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
     moves there, and ``engine.revoke`` drops the divergence node's whole
     subtree from the open list and the frontier and bars it from
     re-expansion (its poses stay reachable through freshly created nodes).
-    The surviving candidate acts as one long independent edge, and later expansions concentrate around the divergence
-    region instead of the goal.
+    The surviving candidate acts as one long independent edge, and later
+    expansions concentrate around the divergence region instead of the goal.
+    ``divergence_node`` must not be the candidate itself.
     """
     nd = divergence_node
     if nd.parent is None:
@@ -315,18 +302,18 @@ class Rerouter:
         return result
 
 
-def reroute(from_pose: Pose, to_pose, hypothesis_index: int, stack: HypothesisStack,
+def reroute(from_pose: Pose, to_pose, h: int, stack: HypothesisStack,
             budget: float = math.inf, *, lib: PrimitiveLibrary | None = None,
             clock=None, _table: dict | None = None) -> Trajectory | None:
     """Collision-free detour within one hypothesis, or None when unreachable.
 
-    Runs an uninflated search on ``stack.maps[hypothesis_index]`` from
-    ``from_pose`` to the target cell (any heading), capped by ``budget``
-    seconds.  ``to_pose`` may be a Pose or an ``(x, y)`` cell.
+    Runs an uninflated search on ``stack.maps[h]`` from ``from_pose`` to the
+    target cell (any heading), capped by ``budget`` seconds.  ``to_pose`` may
+    be a Pose or an ``(x, y)`` cell.
     """
     lib = lib or shared_default_library(stack.resolution)
     tx, ty = (to_pose.x, to_pose.y) if isinstance(to_pose, Pose) else to_pose
-    view = stack.single(hypothesis_index)
+    view = stack.single(h)
     cfg = AnytimeConfig(
         initial_inflation=1.0, inflation_step=1.0, final_inflation=1.0,
         time_budget=budget, goal_tolerance=0.0,

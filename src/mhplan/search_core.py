@@ -15,17 +15,17 @@ expands and accepts; each accepted candidate lowers the inflation and rekeys
 the open list, until the final inflation is reached, the budget runs out or
 the open list empties.
 
-A policy returns ``(g, hyp_g, pending, edges)`` for the child, or None to
+A policy returns ``(g, hyp_g, pending, record)`` for the child, or None to
 refuse the edge.  ``pending`` is a bitmask, bit ``h`` set where hypothesis
 ``h``'s history is broken (the root's is 0).  ``hyp_g`` is the tuple of
 per-hypothesis cost tallies where the mode's decisions read one (PEH's
 frontier and repairs), and None where the child's g is its one tally.
-``edges`` is None unless some of the child's history records are not the
-direct ones.  A node keeps the :class:`~mhplan.lattice.EdgeEvaluation` of
-its incoming edge, an object the edge table already holds, and its direct
-records are derived from it when read (:func:`~mhplan.histories.records`),
-so the search builds none.  The engine alone asks the frontier whether a
-child is admitted.
+``record`` is the primary's history record where it is not the direct one
+(a PEH repair's detour), and None otherwise.  A node keeps the
+:class:`~mhplan.lattice.EdgeEvaluation` of its incoming edge, an object the
+edge table already holds, and its direct record is derived from it when read
+(:func:`~mhplan.histories.record`), so the search builds none.  The engine
+alone asks the frontier whether a child is admitted.
 
 The heuristic is the straight-line time to the goal region
 (:func:`heuristic`) unless the problem carries a mask of blocked cells; then
@@ -288,20 +288,22 @@ class SearchNode:
     ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h``'s history
     is broken.  ``hyp_g`` holds per-hypothesis cost tallies only where a
     search decision reads them, in PEH and at the root; elsewhere it is None.
-    ``edges`` holds the per-hypothesis history records only where some of
-    them is not the direct record of that edge (a repair's detour, a goal
-    candidate's rewritten history); otherwise it is None and
-    :func:`~mhplan.histories.records` derives them from ``ev``.  A node
-    holds no open-list key; the engine computes one each time it pushes it.
+    ``record`` holds the primary's history record only where it is not the
+    direct record of that edge (a repair's detour, a GEGRH goal candidate's
+    consolidated span); otherwise it is None and
+    :func:`~mhplan.histories.record` derives it from ``ev``.  Secondary
+    hypotheses keep no records.  A goal candidate the goal hook updated has
+    mask 0: its cost accounts for every hypothesis.  A node holds no
+    open-list key; the engine computes one each time it pushes it.
     """
 
     __slots__ = (
         "nid", "pose", "g", "parent", "prim_id",
-        "hyp_g", "pending", "edges", "ev", "invalid",
+        "hyp_g", "pending", "record", "ev", "invalid",
     )
 
     def __init__(self, nid: int, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g: tuple[float, ...] | None, pending: int, edges,
+                 hyp_g: tuple[float, ...] | None, pending: int, record,
                  ev: EdgeEvaluation | None = None):
         self.nid = nid
         self.pose = pose
@@ -310,7 +312,7 @@ class SearchNode:
         self.prim_id = prim_id
         self.hyp_g = hyp_g
         self.pending = pending
-        self.edges = edges
+        self.record = record
         self.ev = ev
         self.invalid = False
 
@@ -620,8 +622,8 @@ class AnytimeSearch:
         return self.cfg.time_budget - self.elapsed()
 
     def new_node(self, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g, pending, edges, ev: EdgeEvaluation | None = None) -> SearchNode:
-        node = SearchNode(self._next_nid, pose, g, parent, prim_id, hyp_g, pending, edges, ev)
+                 hyp_g, pending, record, ev: EdgeEvaluation | None = None) -> SearchNode:
+        node = SearchNode(self._next_nid, pose, g, parent, prim_id, hyp_g, pending, record, ev)
         self._next_nid += 1
         if self.trace is not None:
             self.trace.nodes[node.nid] = node
@@ -720,7 +722,7 @@ class AnytimeSearch:
         n = self._n_hyp
         start = self.new_node(
             self.problem.start, 0.0, None, -1,
-            hyp_g=(0.0,) * n, pending=0, edges=None,
+            hyp_g=(0.0,) * n, pending=0, record=None,
         )
         self.frontier.record(start)
         self.reinsert(start)
@@ -762,7 +764,7 @@ class AnytimeSearch:
         if incumbent is None:
             status = STATUS_NO_PLAN
         else:
-            trajectory = extract_solution(incumbent, 0)
+            trajectory = extract_solution(incumbent)
             cost = incumbent.g
             duration = trajectory.duration
         return PlanResult(
@@ -788,7 +790,7 @@ class AnytimeSearch:
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
-            g_child, hyp_g, pending, edges = spec
+            g_child, hyp_g, pending, record = spec
             at_goal = self.in_goal_region(dst)
             if at_goal:
                 h = 0.0
@@ -798,22 +800,21 @@ class AnytimeSearch:
                 h = h_of(dst)
                 if h == inf:
                     continue  # the goal region is unreachable from dst
-            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, edges, ev)
+            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, record, ev)
             if not at_goal:
                 self.frontier.record(child)
             self.open.push(child, g_child + self.eps * h)
 
 
-def extract_solution(node: SearchNode, hypothesis_index: int) -> Trajectory:
-    """Stitch the per-hypothesis history of ``node`` into a trajectory.
+def extract_solution(node: SearchNode) -> Trajectory:
+    """Stitch the primary history of ``node`` into a trajectory.
 
-    Requires the history for ``hypothesis_index`` to be connected back to the
-    start (pending or disconnected histories raise
-    :class:`~mhplan.histories.HistoryError`).  The search calls it with the
-    primary, 0, on its incumbent, whose primary history the engine's
+    Requires that history to be connected back to the start (a pending or
+    disconnected one raises :class:`~mhplan.histories.HistoryError`).  The
+    search calls it on its incumbent, whose primary history the engine's
     acceptance rule keeps intact.
     """
-    records = histories.reconstruct(node, hypothesis_index)
+    records = histories.reconstruct(node)
     root = node
     while root.parent is not None:
         root = root.parent

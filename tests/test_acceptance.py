@@ -17,7 +17,6 @@ from mhplan.costmap import (CostMap, GenerationError, HypothesisStack,
                             gen_case2, gen_clutter)
 from mhplan.harness import (builtin_scenario, clutter_endpoints,
                             plan_divergence, run_suite, write_records)
-from mhplan.histories import REROUTED
 from mhplan.lattice import Pose, default_library
 from mhplan.oracle import dijkstra_reference, veh_reference
 from mhplan.planners import MODES, plan
@@ -148,12 +147,16 @@ def test_criterion_4_bridging_node_average():
         res = plan("PEH", stack, sc.start, sc.goal, OPTIMAL,
                    clock=VirtualClock(), trace=tr)
         assert res.status == "solved"
+        # A bridge is a node where PEH repaired hypothesis 1: pending after
+        # the edge into it, intact at it.  Nodes keep the primary's record
+        # alone, so the repair shows in the masks.  This selects the one
+        # node the stored REROUTED record of hypothesis 1 used to mark.
         bridges = [n for n in tr.nodes.values()
                    if n.pose.cell() == (6, 5) and n.parent is not None
                    and n.parent.pose.cell() == (5, 6)
-                   and n.edges is not None and n.edges[1] is not None
-                   and n.edges[1].kind == REROUTED]
-        assert bridges
+                   and (n.parent.pending | n.ev.invalid) >> 1 & 1
+                   and not n.pending >> 1 & 1]
+        assert len(bridges) == 1
         direct = dijkstra_reference(stack.maps[0], LIB, sc.start,
                                     Pose(6, 5, 1)).optimal_cost
         detour = dijkstra_reference(stack.maps[1], LIB, sc.start,

@@ -61,6 +61,17 @@ def test_plan_from_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("SH")
 
 
+@pytest.mark.parametrize("command", ["plan", "render"])
+def test_scenario_file_refuses_seed(tmp_path, capsys, command):
+    # A scenario file fixes its stack, seed included, so --seed would change
+    # nothing; it is refused rather than ignored.
+    path = write_scenario(tmp_path, "case", "clutter{size=16,n=2,seed=3}", ("SH",))
+    assert main([command, path, "--seed", "9", "--out", str(tmp_path / "out")]) == 2
+    assert "--seed applies to builtin scenarios" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    assert main(["plan", path]) == 0
+
+
 def test_env_defaults_apply(monkeypatch, capsys):
     monkeypatch.setenv("MHPLAN_MODES", "SH")
     monkeypatch.setenv("MHPLAN_BUDGET", "30")

@@ -9,7 +9,7 @@ import pytest
 from mhplan import histories, planners
 from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_case2, gen_clutter
 from mhplan.harness import clutter_endpoints
-from mhplan.histories import DIRECT, REROUTED, record_expansion, records
+from mhplan.histories import DIRECT, REROUTED, record, record_expansion
 from mhplan.lattice import Pose, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference, veh_reference
 from mhplan.planners import MODES, PlannerMode, Rerouter, plan, reroute
@@ -104,17 +104,27 @@ def test_case1_goal_updates_average_their_terms():
 
 
 def test_case1_peh_g_is_mean_of_tallies():
-    tr = SearchTrace()
-    plan("PEH", CASE1, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
-    repaired = 0
-    for node in tr.nodes.values():
-        assert node.g == pytest.approx(fmean(node.hyp_g))
-        for rec in node.edges or ():
-            if rec is not None and rec.kind == REROUTED:
-                repaired += 1
-                assert rec.detour is not None
+    # The contested cell is lethal in the secondary, so PEH repairs only it
+    # and stores no record.  With the maps swapped it repairs the primary,
+    # and each repaired node stores the primary's detour.
+    for stack, primary_repairs in ((CASE1, False),
+                                   (HypothesisStack(CASE1.maps[::-1]), True)):
+        tr = SearchTrace()
+        plan("PEH", stack, CASE1_START, CASE1_GOAL, UNLIMITED, trace=tr)
+        repaired = {0: 0, 1: 0}
+        for node in tr.nodes.values():
+            assert node.g == pytest.approx(fmean(node.hyp_g))
+            if node.parent is None:
+                continue
+            closed = (node.parent.pending | node.ev.invalid) & ~node.pending
+            for h in repaired:
+                repaired[h] += closed >> h & 1
+            rec = node.record
+            assert (rec is not None) == bool(closed & 1)
+            if rec is not None:
+                assert rec.kind == REROUTED and rec.detour is not None
                 assert rec.cost == rec.detour.duration
-    assert repaired > 0
+        assert (repaired[0] > 0, repaired[1] > 0) == (primary_repairs, not primary_repairs)
 
 
 # -- wall in the older hypothesis --------------------------------------------
@@ -176,6 +186,29 @@ def test_sealed_goal_behaviour():
         # Unreachable secondary charged at triple the goal edge: (10+12)/2 - 9.
         assert res.cost == 11.0
         assert res.trajectory.collision_free(stack.primary, LIB)
+
+
+def test_gegrh_keeps_goal_candidates_lethal_in_a_secondary_map():
+    # Every candidate whose edge into a goal cell lethal in a secondary map
+    # starts at a node intact everywhere is its own first break.  Graph
+    # revision has nothing to rewire there, and must not revoke the
+    # candidate the hook just updated: GEGRH then costs what GEH costs.
+    stack = gen_case1(8, 8, (5, 2))
+    goal = Pose(5, 2, 0)
+    for start, cost in ((Pose(1, 2, 0), 5.0), (Pose(5, 1, 6), 2.0)):
+        trace = SearchTrace()
+        geh = plan("GEH", stack, start, goal, UNLIMITED)
+        gegrh = plan("GEGRH", stack, start, goal, UNLIMITED, trace=trace)
+        assert (geh.cost, gegrh.cost) == (cost, cost), start
+        assert trace.goal_updates
+        assert all(event.divergence_nid != event.goal_nid for event in trace.revisions)
+    # Without keep_free the goal cell is lethal in a secondary map here.
+    stack = gen_clutter(9, 9, seed=265, density=0.28, n_hypotheses=3, shift=2)
+    start, goal = Pose(5, 1, 7), Pose(5, 2, 0)
+    assert plan("GEH", stack, start, goal, UNLIMITED).status == "solved"
+    res = plan("GEGRH", stack, start, goal, UNLIMITED)
+    assert res.status == "solved"
+    assert res.trajectory.collision_free(stack.primary, LIB)
 
 
 # -- cross-mode invariants ---------------------------------------------------
@@ -320,34 +353,31 @@ def test_peh_keeps_incomparable_histories(monkeypatch):
 
 
 def test_deferred_records_equal_record_expansion():
-    # Nodes store no direct records: histories.records derives them from the
-    # incoming edge when read.  Every node must still read as what
+    # Nodes store no direct records: histories.record derives the primary's
+    # from the incoming edge when read.  Every node must still read as what
     # record_expansion gives for its edge, apart from the hypotheses PEH
-    # repaired with a detour and from goal candidates whose histories the
-    # goal hook rewrote.  Only those two store records.  Only PEH nodes
-    # carry a tally tuple: the g of SH, GEH and GEGRH nodes is the primary
-    # tally, and a VEH node's g adds the mean of its edge's costs.
+    # repaired with a detour and from goal candidates the goal hook updated.
+    # Secondary repairs leave no record, and a node stores one only where
+    # PEH repaired the primary.  Only PEH nodes carry a tally tuple: the g of
+    # SH, GEH and GEGRH nodes is the primary tally, and a VEH node's g adds
+    # the mean of its edge's costs.
     start, goal = clutter_endpoints(24)
     stack = gen_clutter(24, 24, seed=3, density=0.15, n_hypotheses=3, shift=2,
                         keep_free=(start.cell(), goal.cell()))
-    seen = {"pending": 0, "rerouted": 0}
+    seen = {"pending": 0, "repaired": 0, "rerouted": 0}
     for mode in ("SH", "VEH", "GEH", "GEGRH", "PEH"):
         trace = SearchTrace()
         plan(mode, stack, start, goal, trace=trace)
         view = stack.single(0) if mode == "SH" else stack
+        updated = {nid for nid, _terms, _edge in trace.goal_updates}
         checked = 0
         for node in trace.nodes.values():
             parent = node.parent
             if parent is None:
-                assert records(node) is None
+                assert record(node) is None
                 continue
-            if mode in ("GEH", "GEGRH") and node.edges is not None:
+            if node.nid in updated:
                 continue  # a goal candidate the hook updated
-            if mode == "PEH":
-                assert node.edges is None or any(
-                    rec is not None and rec.kind == REROUTED for rec in node.edges)
-            else:
-                assert node.edges is None, (mode, node)
             prim = LIB.get(node.prim_id)
             ev = evaluate_edge(parent.pose, prim, view, LIB)
             tallied = mode == "PEH"
@@ -355,26 +385,33 @@ def test_deferred_records_equal_record_expansion():
                 assert node.hyp_g is None, (mode, node)
                 parent = SimpleNamespace(pose=parent.pose, pending=parent.pending,
                                          hyp_g=(parent.g,) * view.n)
-            hyp_g, pending, edges = record_expansion(parent, ev, prim, node.pose)
+            hyp_g, pending, rec = record_expansion(parent, ev, prim, node.pose)
             if mode in ("SH", "VEH"):
-                assert not pending and all(e.kind == DIRECT for e in edges)
+                assert not pending and rec.kind == DIRECT
             if mode == "VEH":
                 assert node.g == node.parent.g + histories.average_edge_cost(ev.cost)
             elif not tallied:
                 assert node.g == hyp_g[0], (mode, node)
-            for h, rec in enumerate(records(node)):
-                bit = pending >> h & 1
-                if rec is not None and rec.kind == REROUTED:
-                    assert mode == "PEH" and bit
-                    seen["rerouted"] += 1
-                    continue
-                assert (node.pending >> h & 1, rec) == (bit, edges[h]), (mode, node)
-                if tallied:
-                    assert node.hyp_g[h] == hyp_g[h], (mode, node)
-                seen["pending"] += bit
+            repaired = pending & ~node.pending
+            assert not repaired or mode == "PEH", (mode, node)
+            assert node.pending & ~pending == 0, (mode, node)
+            if repaired & 1:
+                assert node.record.kind == REROUTED and rec is None
+                assert record(node) is node.record
+                seen["rerouted"] += 1
+            else:
+                assert node.record is None, (mode, node)
+                assert record(node) == rec, (mode, node)
+            for h in range(view.n):
+                if repaired >> h & 1:
+                    seen["repaired"] += 1
+                else:
+                    if tallied:
+                        assert node.hyp_g[h] == hyp_g[h], (mode, node)
+                    seen["pending"] += pending >> h & 1
             checked += 1
         assert checked > 50, mode
-    assert seen["pending"] > 0 and seen["rerouted"] > 0
+    assert seen["pending"] > 0 and seen["repaired"] > 0 and seen["rerouted"] > 0, seen
 
 
 def with_soft_costs(stack):
@@ -481,8 +518,8 @@ def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
     # The goal hook reads each anchor as last_intact and the first break as
     # the shallowest pending node.  Both rest on two facts about the chain of
     # every candidate it reconciles: a node's pending mask contains its
-    # parent's, and no node above the candidate stores records (only the
-    # hook stores them, on candidates, which are never expanded).
+    # parent's, and no node on the chain stores a record (only the hook
+    # stores one, on a candidate it updates, which is never expanded).
     checked = {False: 0, True: 0}
     soft = False
     make_hook = planners._make_goal_update_hook
@@ -491,12 +528,13 @@ def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
         hook = make_hook(rerouter, revise)
 
         def wrapped(engine, node):
-            if node.edges is None and node.pending:
+            if node.pending:  # not updated yet: the hook clears the mask
+                assert node.record is None, node
                 cur = node
                 while cur.parent is not None:
                     assert not cur.parent.pending & ~cur.pending, cur
                     cur = cur.parent
-                    assert cur.edges is None, cur
+                    assert cur.record is None, cur
                 checked[soft] += 1
             return hook(engine, node)
 

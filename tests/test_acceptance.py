@@ -148,9 +148,8 @@ def test_criterion_4_bridging_node_average():
                    clock=VirtualClock(), trace=tr)
         assert res.status == "solved"
         # A bridge is a node where PEH repaired hypothesis 1: pending after
-        # the edge into it, intact at it.  Nodes keep the primary's record
-        # alone, so the repair shows in the masks.  This selects the one
-        # node the stored REROUTED record of hypothesis 1 used to mark.
+        # the edge into it, intact at it.  Nodes store no secondary records,
+        # so the repair shows in the masks alone.
         bridges = [n for n in tr.nodes.values()
                    if n.pose.cell() == (6, 5) and n.parent is not None
                    and n.parent.pose.cell() == (5, 6)

@@ -14,7 +14,7 @@ from .costmap import (
     save_costmap,
     save_stack,
 )
-from .histories import EdgeRecord, HistoryError, average_edge_cost
+from .histories import HistoryError, average_edge_cost
 from .lattice import (
     EdgeEvaluation,
     MotionPrimitive,

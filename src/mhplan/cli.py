@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, render
+from .costmap import GenerationError
 from .planners import MODES, PlannerMode, plan
 from .search_core import AnytimeConfig, VirtualClock, WallClock
 
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
                "summarize": cmd_summarize, "render": cmd_render}[args.command]
     try:
         return handler(args)
-    except (harness.ScenarioError, OSError, ValueError) as exc:
+    except (harness.ScenarioError, GenerationError, OSError, ValueError) as exc:
         print(f"mhplan: {exc}", file=sys.stderr)
         return 2
 

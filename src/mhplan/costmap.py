@@ -122,10 +122,10 @@ def loads_costmap(text: str, origin: str = "<string>") -> CostMap:
     except ValueError as exc:
         raise MapFormatError(f"{origin}:2: {exc}") from exc
     cells: list[int] = []
-    row_lines = [ln for ln in lines[2:] if ln.strip()]
-    for rel, line in enumerate(row_lines):
-        lineno = 3 + rel
-        for tok in line.split():
+    rows = [(lineno, line.split()) for lineno, line in enumerate(lines[2:], start=3)
+            if line.strip()]
+    for lineno, toks in rows:
+        for tok in toks:
             try:
                 v = int(tok)
             except ValueError as exc:
@@ -137,6 +137,11 @@ def loads_costmap(text: str, origin: str = "<string>") -> CostMap:
         raise MapFormatError(
             f"{origin}: cell count mismatch: {len(cells)} values declared for {width}x{height} map"
         )
+    # A right total can still put cells on the wrong rows.
+    for lineno, toks in rows:
+        if len(toks) != width:
+            raise MapFormatError(
+                f"{origin}:{lineno}: row has {len(toks)} values for a map {width} wide")
     try:
         return CostMap(width, height, resolution, bytes(cells), threshold)
     except ValueError as exc:

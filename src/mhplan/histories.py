@@ -1,17 +1,16 @@
 """Expansion histories, divergence detection, and cost averaging.
 
 The search executes one trajectory, the primary's, so a search node keeps
-the primary's history alone.  Each node has the incremental edge record
-that extended the primary's trajectory at this step, or none where the
-primary is pending (its history broke and waits for a repair).  Most records
-are DIRECT and follow from the node's incoming edge, so a node stores none;
-:func:`record` rebuilds it when it is read.  A node stores its record
-explicitly only where it is not the direct one: a REROUTED detour spliced in
-by a repair of the primary, or a GEGRH goal candidate's consolidated span.
-The primary trajectory is reconstructed by walking the parent chain and
-stitching the records together.
+the primary's history alone, and only where it is not the node's incoming
+edge: its ``detour``, a :class:`~mhplan.lattice.Trajectory` that a repair of
+the primary spliced in (a PEH repair, the goal hook), or the span a GEGRH
+revision collapses below the candidate's new parent.  Every other node
+contributes the direct step of its incoming edge, or nothing at the root and
+where the primary is pending (its history broke and waits for a repair).
+:func:`trajectory` walks the parent chain and joins those pieces into the
+primary's trajectory.
 
-Secondary hypotheses only feed costs, and keep no records.  A node's
+Secondary hypotheses only feed costs, and keep no history.  A node's
 ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h`` is pending.
 Divergence is read from the masks alone.  A pending hypothesis is repaired
 by a detour from its anchor, its :func:`last_intact` ancestor.  A child's
@@ -28,28 +27,11 @@ its one tally.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .lattice import EdgeEvaluation, MotionPrimitive, Pose, Trajectory
-
-DIRECT = "direct"
-REROUTED = "rerouted"
 
 
 class HistoryError(RuntimeError):
-    """Raised when the primary history cannot be stitched into a trajectory."""
-
-
-class EdgeRecord(NamedTuple):
-    """One increment of the primary's history (a named tuple: DIRECT ones are
-    rebuilt every time a node's record is read)."""
-
-    kind: str  # DIRECT or REROUTED
-    cost: float
-    src: Pose
-    dst: Pose
-    prim_id: int | None = None  # DIRECT
-    detour: Trajectory | None = None  # REROUTED
+    """Raised when the primary history cannot be joined into a trajectory."""
 
 
 def average_edge_cost(costs) -> float:
@@ -83,30 +65,16 @@ def advance(parent, evaluation: EdgeEvaluation) -> tuple[tuple[float, ...], int]
 
 
 def record_expansion(parent, evaluation: EdgeEvaluation, prim: MotionPrimitive,
-                     dst: Pose) -> tuple[tuple[float, ...], int, EdgeRecord | None]:
+                     dst: Pose) -> tuple[tuple[float, ...], int, tuple | None]:
     """Extend the parent's histories across one direct edge.
 
-    Returns ``(hyp_g, pending, record)`` for the child node: the tallies and
-    mask of :func:`advance`, and the primary's DIRECT record, or None where
-    the primary is pending.
+    Returns ``(hyp_g, pending, step)`` for the child node: the tallies and
+    mask of :func:`advance`, and the primary's direct step
+    ``(parent.pose, prim.id, dst)``, as in :attr:`Trajectory.steps`, or None
+    where the primary is pending.
     """
     hyp_g, pending = advance(parent, evaluation)
-    rec = None if pending & 1 else EdgeRecord(DIRECT, evaluation.cost[0], parent.pose,
-                                              dst, prim.id)
-    return hyp_g, pending, rec
-
-
-def record(node) -> EdgeRecord | None:
-    """The primary's history increment at ``node``: its explicit ``record``
-    when it has one, otherwise the DIRECT record of its incoming edge, and
-    None at the root or where the primary is pending."""
-    rec = node.record
-    if rec is not None:
-        return rec
-    parent = node.parent
-    if parent is None or node.pending & 1:
-        return None
-    return EdgeRecord(DIRECT, node.ev.cost[0], parent.pose, node.pose, node.prim_id)
+    return hyp_g, pending, None if pending & 1 else (parent.pose, prim.id, dst)
 
 
 def divergence_point(node):
@@ -139,47 +107,40 @@ def last_intact(node, h: int):
     raise HistoryError(f"hypothesis {h} has no intact ancestor")
 
 
-def reconstruct(node, since=None) -> list[EdgeRecord]:
-    """Ordered primary edge records along the chain to ``node``, from the
-    root, or only those of the nodes below ``since`` when it is given.
+def trajectory(node, since=None) -> Trajectory:
+    """The primary's trajectory along the chain to ``node``, from the root,
+    or only the part below ``since`` when it is given.
 
+    Each node on the way contributes its stored detour, the direct step of
+    its incoming edge costed ``ev.cost[0]``, or nothing at the root and where
+    the primary is pending.  The durations are summed from the top down.
     Raises :class:`HistoryError` when the primary is pending at the tip,
-    ``since`` is not an ancestor of ``node``, or the collected records do not
-    chain contiguously.
+    ``since`` is not an ancestor of ``node``, or two pieces do not meet at
+    one cell.
     """
     if node.pending & 1:
         raise HistoryError("the primary is pending at the requested node")
-    out: list[EdgeRecord] = []
-    cur = node
+    pieces: list[tuple[tuple, float]] = []  # (steps, duration), tip first
+    cur = start = node
     while cur is not since:
         if cur is None:
-            raise HistoryError("the node to reconstruct from is not an ancestor")
-        rec = record(cur)
-        if rec is not None:
-            out.append(rec)
-        cur = cur.parent
-    out.reverse()
-    tail: Pose | None = None
-    for rec in out:
-        if tail is not None and rec.src.cell() != tail.cell():
-            raise HistoryError(
-                f"the primary history is disconnected: segment starts at "
-                f"{rec.src.cell()} but previous segment ended at {tail.cell()}"
-            )
-        tail = rec.dst
-    return out
-
-
-def stitch(records: list[EdgeRecord], start: Pose) -> Trajectory:
-    """Concatenate direct and rerouted records into one executable trajectory."""
+            raise HistoryError("the node to walk back to is not an ancestor")
+        parent = cur.parent
+        if cur.detour is not None:
+            pieces.append((cur.detour.steps, cur.detour.duration))
+        elif parent is not None and not cur.pending & 1:
+            pieces.append((((parent.pose, cur.prim_id, cur.pose),), cur.ev.cost[0]))
+        start, cur = cur, parent
+    if since is not None:
+        start = since
     steps: list[tuple[Pose, int, Pose]] = []
     duration = 0.0
-    for rec in records:
-        duration += rec.cost
-        if rec.kind == DIRECT:
-            steps.append((rec.src, rec.prim_id, rec.dst))
-        else:
-            if rec.detour is None:
-                raise HistoryError("rerouted record carries no trajectory payload")
-            steps.extend(rec.detour.steps)
-    return Trajectory(tuple(steps), duration, start)
+    for piece, cost in reversed(pieces):
+        if steps and piece and piece[0][0].cell() != steps[-1][2].cell():
+            raise HistoryError(
+                f"the primary history is disconnected: segment starts at "
+                f"{piece[0][0].cell()} but previous segment ended at {steps[-1][2].cell()}"
+            )
+        steps.extend(piece)
+        duration += cost
+    return Trajectory(tuple(steps), duration, start.pose)

@@ -24,11 +24,11 @@ the duplicate-detection frontier, and the branch on :class:`PlannerMode` in
             is rewired to the parent of the shallowest pending node on its
             chain, the last node intact in every hypothesis, and that
             node's stale subtree is dropped, concentrating further effort
-            where the world hypotheses actually disagree.  The candidate's
-            primary record becomes one span from that parent.  A candidate
-            whose own parent is intact everywhere has nothing to rewire and
-            is not revised.  Each goal candidate is updated, and so revised,
-            at most once, which bounds the revision loop.
+            where the world hypotheses actually disagree.  The candidate
+            stores the primary's trajectory from that parent as its detour.
+            A candidate whose own parent is intact everywhere has nothing to
+            rewire and is not revised.  Each goal candidate is updated, and
+            so revised, at most once, which bounds the revision loop.
 
 SH and VEH search with a :class:`~mhplan.search_core.CostToGo` heuristic: its
 mask is the primary's lethal cells for SH and the cells lethal in any
@@ -66,7 +66,7 @@ import math
 
 from . import histories
 from .costmap import HypothesisStack
-from .histories import REROUTED, EdgeRecord, HistoryError
+from .histories import HistoryError
 from .lattice import Pose, PrimitiveLibrary, Trajectory, shared_default_library
 from .search_core import (
     AnytimeConfig,
@@ -122,12 +122,12 @@ def _primary_policy(engine, node, prim, ev, dst):
 def _make_peh_policy(rerouter: "Rerouter"):
     def policy(engine, node, prim, ev, dst):
         hyp_g, pending = histories.advance(node, ev)
-        rec = None
+        detour = None
         if pending:
-            hyp_g, pending, rec = _repair_pending(engine, rerouter, node, dst, hyp_g,
-                                                  pending)
+            hyp_g, pending, detour = _repair_pending(engine, rerouter, node, dst, hyp_g,
+                                                     pending)
         g = histories.average_edge_cost(hyp_g)
-        return (g, hyp_g, pending, rec)
+        return (g, hyp_g, pending, detour)
 
     return policy
 
@@ -148,20 +148,20 @@ def _detours(engine, rerouter, parent, pending, target_cell):
 def _repair_pending(engine, rerouter, parent, dst, hyp_g, pending):
     """Try to close every pending hypothesis with a detour ending at ``dst``.
 
-    Returns the updated tallies and pending mask, and the child's record:
-    the primary's detour where it was repaired, otherwise None (the direct
-    record, or none while the primary stays pending).
+    Returns the updated tallies and pending mask, and the child's detour:
+    the primary's where it was repaired, otherwise None (the direct step, or
+    nothing while the primary stays pending).
     """
     new_g = list(hyp_g)
-    rec = None
+    detour = None
     for h, anchor, traj in _detours(engine, rerouter, parent, pending, dst.cell()):
         if traj is None:
             continue
         new_g[h] = anchor.hyp_g[h] + traj.duration
         pending &= ~(1 << h)
         if h == 0:
-            rec = EdgeRecord(REROUTED, traj.duration, anchor.pose, dst, detour=traj)
-    return tuple(new_g), pending, rec
+            detour = traj
+    return tuple(new_g), pending, detour
 
 
 # -- goal hooks --------------------------------------------------------------
@@ -175,8 +175,8 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
         parent = node.parent  # a pending node is never the root
         goal_edge = node.g - parent.g
         terms = [goal_edge]
-        for h, anchor, traj in _detours(engine, rerouter, parent, pending,
-                                        node.pose.cell()):
+        for h, _anchor, traj in _detours(engine, rerouter, parent, pending,
+                                         node.pose.cell()):
             if traj is None:
                 if h == 0:
                     return False  # primary trajectory cannot be realized
@@ -184,8 +184,7 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
             else:
                 terms.append(traj.duration)
                 if h == 0:
-                    node.record = EdgeRecord(REROUTED, traj.duration, anchor.pose,
-                                             node.pose, detour=traj)
+                    node.detour = traj
         # Read while the candidate's mask is still the one its chain grew.
         first_break = histories.divergence_point(node) if revise else None
         new_edge = histories.average_edge_cost(terms)
@@ -208,19 +207,6 @@ def _make_goal_update_hook(rerouter: "Rerouter", revise: bool):
 # -- graph revision ----------------------------------------------------------
 
 
-def _consolidate_goal_edges(goal_node, new_parent) -> None:
-    """Collapse the goal candidate's primary records below ``new_parent``
-    into one span.
-
-    After the rewire the nodes between ``new_parent`` and the goal are gone,
-    so the candidate's record carries the whole stitched segment.
-    """
-    detour = histories.stitch(histories.reconstruct(goal_node, since=new_parent),
-                              new_parent.pose)
-    goal_node.record = EdgeRecord(REROUTED, detour.duration, new_parent.pose,
-                                  goal_node.pose, detour=detour)
-
-
 def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
     """Rewire an updated goal candidate past the divergence point.
 
@@ -238,7 +224,9 @@ def graph_revision(engine: AnytimeSearch, goal_node, divergence_node) -> None:
     if nd.parent is None:
         raise HistoryError("divergence node must have an intact parent")
     former_parent = nd.parent
-    _consolidate_goal_edges(goal_node, former_parent)
+    # The nodes between former_parent and the candidate are dropped, so the
+    # candidate keeps the primary's whole trajectory below former_parent.
+    goal_node.detour = histories.trajectory(goal_node, since=former_parent)
     goal_node.parent = former_parent
     goal_node.prim_id = -1
     engine.revoke(nd)

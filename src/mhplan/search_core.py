@@ -15,17 +15,17 @@ expands and accepts; each accepted candidate lowers the inflation and rekeys
 the open list, until the final inflation is reached, the budget runs out or
 the open list empties.
 
-A policy returns ``(g, hyp_g, pending, record)`` for the child, or None to
+A policy returns ``(g, hyp_g, pending, detour)`` for the child, or None to
 refuse the edge.  ``pending`` is a bitmask, bit ``h`` set where hypothesis
 ``h``'s history is broken (the root's is 0).  ``hyp_g`` is the tuple of
 per-hypothesis cost tallies where the mode's decisions read one (PEH's
 frontier and repairs), and None where the child's g is its one tally.
-``record`` is the primary's history record where it is not the direct one
-(a PEH repair's detour), and None otherwise.  A node keeps the
+``detour`` is the :class:`~mhplan.lattice.Trajectory` a PEH repair of the
+primary spliced in, and None otherwise.  A node keeps the
 :class:`~mhplan.lattice.EdgeEvaluation` of its incoming edge, an object the
-edge table already holds, and its direct record is derived from it when read
-(:func:`~mhplan.histories.record`), so the search builds none.  The engine
-alone asks the frontier whether a child is admitted.
+edge table already holds, and :func:`~mhplan.histories.trajectory` reads its
+direct step from it, so the search builds none.  The engine alone asks the
+frontier whether a child is admitted.
 
 The heuristic is the straight-line time to the goal region
 (:func:`heuristic`) unless the problem carries a mask of blocked cells; then
@@ -288,23 +288,23 @@ class SearchNode:
     ``pending`` is a bitmask, bit ``h`` set where hypothesis ``h``'s history
     is broken.  ``hyp_g`` holds per-hypothesis cost tallies only where a
     search decision reads them, in PEH and at the root; elsewhere it is None.
-    ``record`` holds the primary's history record only where it is not the
-    direct record of that edge (a repair's detour, a GEGRH goal candidate's
-    consolidated span); otherwise it is None and
-    :func:`~mhplan.histories.record` derives it from ``ev``.  Secondary
-    hypotheses keep no records.  A goal candidate the goal hook updated has
-    mask 0: its cost accounts for every hypothesis.  A node holds no
-    open-list key; the engine computes one each time it pushes it.
+    ``detour`` holds the primary's trajectory from an ancestor to this node
+    only where it is not the direct step of that edge (a repair's detour, a
+    GEGRH goal candidate's span from its new parent); otherwise it is None
+    and :func:`~mhplan.histories.trajectory` takes the step from ``ev``.
+    Secondary hypotheses keep no history.  A goal candidate the goal hook
+    updated has mask 0: its cost accounts for every hypothesis.  A node
+    holds no open-list key; the engine computes one each time it pushes it.
     """
 
     __slots__ = (
         "nid", "pose", "g", "parent", "prim_id",
-        "hyp_g", "pending", "record", "ev", "invalid",
+        "hyp_g", "pending", "detour", "ev", "invalid",
     )
 
     def __init__(self, nid: int, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g: tuple[float, ...] | None, pending: int, record,
-                 ev: EdgeEvaluation | None = None):
+                 hyp_g: tuple[float, ...] | None, pending: int,
+                 detour: Trajectory | None, ev: EdgeEvaluation | None = None):
         self.nid = nid
         self.pose = pose
         self.g = g
@@ -312,7 +312,7 @@ class SearchNode:
         self.prim_id = prim_id
         self.hyp_g = hyp_g
         self.pending = pending
-        self.record = record
+        self.detour = detour
         self.ev = ev
         self.invalid = False
 
@@ -622,8 +622,8 @@ class AnytimeSearch:
         return self.cfg.time_budget - self.elapsed()
 
     def new_node(self, pose: Pose, g: float, parent, prim_id: int,
-                 hyp_g, pending, record, ev: EdgeEvaluation | None = None) -> SearchNode:
-        node = SearchNode(self._next_nid, pose, g, parent, prim_id, hyp_g, pending, record, ev)
+                 hyp_g, pending, detour, ev: EdgeEvaluation | None = None) -> SearchNode:
+        node = SearchNode(self._next_nid, pose, g, parent, prim_id, hyp_g, pending, detour, ev)
         self._next_nid += 1
         if self.trace is not None:
             self.trace.nodes[node.nid] = node
@@ -722,7 +722,7 @@ class AnytimeSearch:
         n = self._n_hyp
         start = self.new_node(
             self.problem.start, 0.0, None, -1,
-            hyp_g=(0.0,) * n, pending=0, record=None,
+            hyp_g=(0.0,) * n, pending=0, detour=None,
         )
         self.frontier.record(start)
         self.reinsert(start)
@@ -790,7 +790,7 @@ class AnytimeSearch:
             spec = self.expand_policy(self, node, prim, ev, dst)
             if spec is None:
                 continue
-            g_child, hyp_g, pending, record = spec
+            g_child, hyp_g, pending, detour = spec
             at_goal = self.in_goal_region(dst)
             if at_goal:
                 h = 0.0
@@ -800,22 +800,18 @@ class AnytimeSearch:
                 h = h_of(dst)
                 if h == inf:
                     continue  # the goal region is unreachable from dst
-            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, record, ev)
+            child = self.new_node(dst, g_child, node, prim.id, hyp_g, pending, detour, ev)
             if not at_goal:
                 self.frontier.record(child)
             self.open.push(child, g_child + self.eps * h)
 
 
 def extract_solution(node: SearchNode) -> Trajectory:
-    """Stitch the primary history of ``node`` into a trajectory.
+    """The primary's trajectory to ``node`` (:func:`~mhplan.histories.trajectory`).
 
     Requires that history to be connected back to the start (a pending or
     disconnected one raises :class:`~mhplan.histories.HistoryError`).  The
     search calls it on its incumbent, whose primary history the engine's
     acceptance rule keeps intact.
     """
-    records = histories.reconstruct(node)
-    root = node
-    while root.parent is not None:
-        root = root.parent
-    return histories.stitch(records, root.pose)
+    return histories.trajectory(node)

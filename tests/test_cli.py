@@ -117,6 +117,26 @@ def test_non_integer_builtin_parameter_is_reported(spec):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["plan", "render"])
+@pytest.mark.parametrize("spec", ["clutter{size=3}", "clutter{density=0.99}"])
+def test_generation_failure_is_reported(command, spec, tmp_path):
+    # The generator gives up on a stack it cannot draw; the CLI reports it
+    # like any other bad scenario, in a child process so that an uncaught
+    # exception would show as its traceback and exit status 1.
+    src = os.path.dirname(os.path.dirname(mhplan.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhplan.cli", command, spec, "--modes", "SH",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("mhplan: could not generate ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_inflation_is_rejected(capsys):
     # An infinite inflation never steps down to the final one; the config
     # refuses it before any search starts.

@@ -75,6 +75,16 @@ def test_load_errors_name_position():
         loads_costmap("MHMAP 1\n1 1 1.0 254\nxyz\n")
 
 
+def test_load_refuses_rows_of_the_wrong_length():
+    # Six values for a 3x2 map, but on rows of 4 and 2: read in order they
+    # would move the lethal cell written on line 3 to (0, 1).
+    with pytest.raises(MapFormatError, match=r"<string>:3: row has 4 values"):
+        loads_costmap("MHMAP 1\n3 2 1.0 254\n0 0 0 255\n0 0\n")
+    # A blank line is skipped, and the line named is the file's own.
+    with pytest.raises(MapFormatError, match=r"<string>:5: row has 2 values"):
+        loads_costmap("MHMAP 1\n3 2 1.0 254\n0 0 0\n\n0 0\n255\n")
+
+
 def test_all_free_map_has_no_lethal_cells():
     m = loads_costmap("MHMAP 1\n3 3 1.0 254\n0 0 0\n0 0 0\n0 0 0\n")
     assert not any(m.is_lethal(x, y) for x in range(3) for y in range(3))

@@ -3,46 +3,34 @@ from types import SimpleNamespace
 
 import pytest
 
-from mhplan.histories import (DIRECT, REROUTED, EdgeRecord, HistoryError,
-                              average_edge_cost, baseline_cost, divergence_point,
-                              last_intact, reconstruct, record, record_expansion,
-                              stitch)
+from mhplan.histories import (HistoryError, average_edge_cost, baseline_cost,
+                              divergence_point, last_intact, record_expansion, trajectory)
 from mhplan.lattice import (EdgeEvaluation, Pose, Trajectory, default_library)
 
 LIB = default_library()
 
 
-def node(pose, parent=None, pending=0, record=None, hyp_g=(0.0, 0.0),
+def node(pose, parent=None, pending=0, detour=None, hyp_g=(0.0, 0.0),
          ev=None, prim_id=-1):
-    return SimpleNamespace(pose=pose, parent=parent, pending=pending, record=record,
+    return SimpleNamespace(pose=pose, parent=parent, pending=pending, detour=detour,
                            hyp_g=tuple(hyp_g), ev=ev, prim_id=prim_id)
 
 
-def direct(src, dst, cost=1.0, prim_id=0):
-    return EdgeRecord(DIRECT, cost, src, dst, prim_id=prim_id)
+def edge(pending, cost=1.0, n=3):
+    """An edge costing ``cost`` in every hypothesis whose bit is clear."""
+    return EdgeEvaluation(pending, tuple(None if pending >> h & 1 else cost
+                                         for h in range(n)))
 
 
 def chain_of(cells, pendings):
     """Straight chain of fake nodes; bit h of pendings[i] flags hypothesis h
-    broken at step i (the edge arriving at node i+1).  Each node stores its
-    primary record explicitly, None where the primary is pending."""
+    broken at step i (the edge arriving at node i+1).  Each edge costs 1.0
+    and has primitive id 0; no node stores a detour."""
     nodes = [node(Pose(cells[0][0], cells[0][1], 0))]
     for i, (cx, cy) in enumerate(cells[1:]):
-        prev = nodes[-1]
         pend = pendings[i]
-        rec = None if pend & 1 else direct(prev.pose, Pose(cx, cy, 0))
-        nodes.append(node(Pose(cx, cy, 0), prev, pend, rec))
+        nodes.append(node(Pose(cx, cy, 0), nodes[-1], pend, ev=edge(pend), prim_id=0))
     return nodes
-
-
-def test_edge_record_value_semantics():
-    rec = direct(Pose(1, 2, 3), Pose(2, 2, 3), cost=1.0, prim_id=4)
-    assert repr(rec) == ("EdgeRecord(kind='direct', cost=1.0, src=Pose(x=1, y=2, heading=3), "
-                         "dst=Pose(x=2, y=2, heading=3), prim_id=4, detour=None)")
-    assert hash(rec) == hash((DIRECT, 1.0, Pose(1, 2, 3), Pose(2, 2, 3), 4, None))
-    assert rec == direct(Pose(1, 2, 3), Pose(2, 2, 3), cost=1.0, prim_id=4)
-    with pytest.raises(AttributeError):
-        rec.cost = 2.0
 
 
 # -- averaging ---------------------------------------------------------------
@@ -85,61 +73,67 @@ def test_record_expansion_consistent_edge():
     parent = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
     ev = EdgeEvaluation(0, (1.0, 1.2))
-    hyp_g, pending, rec = record_expansion(parent, ev, prim, Pose(2, 1, 0))
+    hyp_g, pending, step = record_expansion(parent, ev, prim, Pose(2, 1, 0))
     assert hyp_g == (1.0, 1.2)
     assert pending == 0
-    assert rec == direct(parent.pose, Pose(2, 1, 0), 1.0, prim_id=prim.id)
+    assert step == (parent.pose, prim.id, Pose(2, 1, 0))
 
 
 def test_record_expansion_marks_divergence():
     parent = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
     ev = EdgeEvaluation(0b10, (1.0, None))
-    hyp_g, pending, rec = record_expansion(parent, ev, prim, Pose(2, 1, 0))
+    hyp_g, pending, step = record_expansion(parent, ev, prim, Pose(2, 1, 0))
     assert pending == 0b10
-    assert rec == direct(parent.pose, Pose(2, 1, 0), 1.0, prim_id=prim.id)
+    assert step == (parent.pose, prim.id, Pose(2, 1, 0))
     assert hyp_g == (1.0, 1.0)  # pending hypothesis advances at baseline cost
-    # A primary that cannot follow the edge has no record at the child.
+    # A primary that cannot follow the edge has no step at the child.
     ev = EdgeEvaluation(0b01, (None, 1.2))
-    hyp_g, pending, rec = record_expansion(parent, ev, prim, Pose(2, 1, 0))
-    assert (hyp_g, pending, rec) == ((1.2, 1.2), 0b01, None)
+    hyp_g, pending, step = record_expansion(parent, ev, prim, Pose(2, 1, 0))
+    assert (hyp_g, pending, step) == ((1.2, 1.2), 0b01, None)
 
 
 def test_record_expansion_pending_parent_stays_pending():
     root = node(Pose(1, 1, 0))
     prim = LIB.by_heading[0][0]
-    mid = node(Pose(2, 1, 0), root, pending=0b10,
-               record=direct(root.pose, Pose(2, 1, 0)), hyp_g=(1.0, 1.0))
+    mid = node(Pose(2, 1, 0), root, pending=0b10, ev=EdgeEvaluation(0b10, (1.0, None)),
+               prim_id=0, hyp_g=(1.0, 1.0))
     ev = EdgeEvaluation(0, (1.0, 1.5))
-    hyp_g, pending, rec = record_expansion(mid, ev, prim, Pose(3, 1, 0))
+    hyp_g, pending, step = record_expansion(mid, ev, prim, Pose(3, 1, 0))
     # Secondary is valid here but its history already broke upstream.
     assert pending == 0b10
-    assert rec == direct(mid.pose, Pose(3, 1, 0), 1.0, prim_id=prim.id)
+    assert step == (mid.pose, prim.id, Pose(3, 1, 0))
     assert hyp_g == (2.0, 2.0)
-    # So does a primary that broke upstream: it gets no record, and its
+    # So does a primary that broke upstream: it gets no step, and its
     # tally advances at the baseline cost, the primary's own here.
     mid.pending = 0b01
-    hyp_g, pending, rec = record_expansion(mid, ev, prim, Pose(3, 1, 0))
-    assert (hyp_g, pending, rec) == ((2.0, 2.5), 0b01, None)
+    hyp_g, pending, step = record_expansion(mid, ev, prim, Pose(3, 1, 0))
+    assert (hyp_g, pending, step) == ((2.0, 2.5), 0b01, None)
 
 
 def test_record_derives_the_direct_record_from_the_incoming_edge():
     root = node(Pose(1, 1, 0))
     ev = EdgeEvaluation(0b10, (1.0, None))
     child = node(Pose(2, 1, 0), root, pending=0b10, ev=ev, prim_id=3)
-    assert record(root) is None
-    assert record(child) == direct(root.pose, child.pose, 1.0, prim_id=3)
-    assert reconstruct(child) == [direct(root.pose, child.pose, 1.0, prim_id=3)]
-    # Where the primary is pending there is no record until a repair
-    # stores its detour and clears the bit.
+    assert trajectory(root) == Trajectory((), 0.0, root.pose)
+    assert trajectory(child) == Trajectory(((root.pose, 3, child.pose),), 1.0, root.pose)
+    # Where the primary is pending there is no step until a repair stores
+    # its detour and clears the bit.
     child = node(Pose(2, 1, 0), root, pending=0b01, ev=EdgeEvaluation(0b01, (None, 1.0)),
                  prim_id=3)
-    assert record(child) is None
+    with pytest.raises(HistoryError, match="pending"):
+        trajectory(child)
     detour = Trajectory(((root.pose, 2, Pose(2, 1, 0)),), 2.5, root.pose)
-    child.record = EdgeRecord(REROUTED, 2.5, root.pose, child.pose, detour=detour)
+    child.detour = detour
     child.pending = 0
-    assert record(child) is child.record
-    assert reconstruct(child) == [child.record]
+    assert trajectory(child) == Trajectory(detour.steps, 2.5, root.pose)
+    # A node pending in the primary contributes nothing below a repair.
+    broken = node(Pose(2, 1, 0), root, pending=0b01, ev=EdgeEvaluation(0b01, (None, 1.0)),
+                  prim_id=3)
+    detour = Trajectory(((root.pose, 5, Pose(3, 1, 0)),), 3.0, root.pose)
+    tip = node(Pose(3, 1, 0), broken, detour=detour, ev=EdgeEvaluation(0, (1.0, 1.0)),
+               prim_id=4)
+    assert trajectory(tip) == Trajectory(detour.steps, 3.0, root.pose)
 
 
 # -- divergence --------------------------------------------------------------
@@ -176,13 +170,12 @@ def test_last_intact_walks_past_pending():
     assert last_intact(nodes[-1], 0) is nodes[-1]
 
 
-# -- reconstruction ----------------------------------------------------------
+# -- the primary trajectory ---------------------------------------------------
 
 
 def test_reconstruct_and_stitch_direct_chain():
     nodes = chain_of([(0, 0), (1, 0), (2, 0)], [0, 0])
-    recs = reconstruct(nodes[-1])
-    traj = stitch(recs, nodes[0].pose)
+    traj = trajectory(nodes[-1])
     assert [p.cell() for p in traj.poses] == [(0, 0), (1, 0), (2, 0)]
     assert traj.duration == pytest.approx(2.0)
 
@@ -190,36 +183,37 @@ def test_reconstruct_and_stitch_direct_chain():
 def test_reconstruct_rejects_pending_tip():
     nodes = chain_of([(0, 0), (1, 0)], [0b01])
     with pytest.raises(HistoryError):
-        reconstruct(nodes[-1])
+        trajectory(nodes[-1])
     # A pending secondary leaves the primary's history whole.
     nodes = chain_of([(0, 0), (1, 0)], [0b10])
-    assert reconstruct(nodes[-1]) == [direct(Pose(0, 0, 0), Pose(1, 0, 0))]
+    assert trajectory(nodes[-1]).steps == ((Pose(0, 0, 0), 0, Pose(1, 0, 0)),)
 
 
 def test_reconstruct_rejects_gap():
     root = node(Pose(0, 0, 0))
-    # Record claims to start at (5, 5) even though the previous ended at (1, 0).
-    bad = node(Pose(2, 0, 0), node(Pose(1, 0, 0), root, 0,
-                                   direct(Pose(0, 0, 0), Pose(1, 0, 0))),
-               0, direct(Pose(5, 5, 0), Pose(2, 0, 0)))
+    mid = node(Pose(1, 0, 0), root, ev=edge(0), prim_id=0)
+    # The detour claims to start at (5, 5) though the previous step ended at (1, 0).
+    jump = Trajectory(((Pose(5, 5, 0), 0, Pose(2, 0, 0)),), 1.0, Pose(5, 5, 0))
+    bad = node(Pose(2, 0, 0), mid, detour=jump)
     with pytest.raises(HistoryError, match="disconnected"):
-        reconstruct(bad)
+        trajectory(bad)
 
 
 def test_reconstruct_since_an_ancestor_returns_the_tail():
     nodes = chain_of([(0, 0), (1, 0), (2, 0), (3, 0)], [0, 0, 0])
     tip = nodes[-1]
-    full = reconstruct(tip)
-    assert len(full) == 3
-    assert reconstruct(tip, since=None) == full
-    # full[i] is the record of the edge into nodes[i + 1].
+    full = trajectory(tip)
+    assert len(full.steps) == 3
+    assert trajectory(tip, since=None) == full
+    # full.steps[i] is the step of the edge into nodes[i + 1].
     for i, ancestor in enumerate(nodes):
-        assert reconstruct(tip, since=ancestor) == full[i:]
+        assert trajectory(tip, since=ancestor) == Trajectory(full.steps[i:], 3.0 - i,
+                                                             ancestor.pose)
     stranger = node(Pose(1, 0, 0), nodes[0])
     with pytest.raises(HistoryError, match="not an ancestor"):
-        reconstruct(tip, since=stranger)
+        trajectory(tip, since=stranger)
     with pytest.raises(HistoryError, match="not an ancestor"):
-        reconstruct(nodes[1], since=tip)
+        trajectory(nodes[1], since=tip)
 
 
 def test_stitch_splices_detour_steps():
@@ -227,15 +221,9 @@ def test_stitch_splices_detour_steps():
     mid = Pose(1, 0, 0)
     detour = Trajectory(((mid, 1, Pose(2, 1, 1)), (Pose(2, 1, 1), 5, Pose(3, 1, 1))),
                         3.0, mid)
-    recs = [direct(start, mid, cost=1.0),
-            EdgeRecord(REROUTED, 3.0, mid, Pose(3, 1, 1), detour=detour)]
-    traj = stitch(recs, start)
+    root = node(start)
+    first = node(mid, root, ev=edge(0), prim_id=0)
+    traj = trajectory(node(Pose(3, 1, 1), first, detour=detour))
     assert [p.cell() for p in traj.poses] == [(0, 0), (1, 0), (2, 1), (3, 1)]
     assert traj.duration == pytest.approx(4.0)
     assert traj.steps[1][1] == 1  # detour's own primitive ids survive
-
-
-def test_stitch_requires_detour_payload():
-    rec = EdgeRecord(REROUTED, 3.0, Pose(0, 0, 0), Pose(1, 1, 0))
-    with pytest.raises(HistoryError):
-        stitch([rec], Pose(0, 0, 0))

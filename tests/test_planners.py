@@ -9,12 +9,12 @@ import pytest
 from mhplan import histories, planners
 from mhplan.costmap import CostMap, HypothesisStack, gen_case1, gen_case2, gen_clutter
 from mhplan.harness import clutter_endpoints
-from mhplan.histories import DIRECT, REROUTED, record, record_expansion
-from mhplan.lattice import Pose, default_library, evaluate_edge
+from mhplan.histories import record_expansion, trajectory
+from mhplan.lattice import Pose, Trajectory, default_library, evaluate_edge
 from mhplan.oracle import dijkstra_reference, veh_reference
 from mhplan.planners import MODES, PlannerMode, Rerouter, plan, reroute
 from mhplan.search_core import (AnytimeConfig, BestGTable, PlanningInputError, SearchProblem,
-                                SearchTrace, VirtualClock)
+                                SearchTrace, VirtualClock, extract_solution)
 
 LIB = default_library()
 UNLIMITED = AnytimeConfig(time_budget=math.inf)
@@ -105,8 +105,8 @@ def test_case1_goal_updates_average_their_terms():
 
 def test_case1_peh_g_is_mean_of_tallies():
     # The contested cell is lethal in the secondary, so PEH repairs only it
-    # and stores no record.  With the maps swapped it repairs the primary,
-    # and each repaired node stores the primary's detour.
+    # and stores no detour.  With the maps swapped it repairs the primary,
+    # and each repaired node stores the primary's detour from its anchor.
     for stack, primary_repairs in ((CASE1, False),
                                    (HypothesisStack(CASE1.maps[::-1]), True)):
         tr = SearchTrace()
@@ -119,11 +119,11 @@ def test_case1_peh_g_is_mean_of_tallies():
             closed = (node.parent.pending | node.ev.invalid) & ~node.pending
             for h in repaired:
                 repaired[h] += closed >> h & 1
-            rec = node.record
-            assert (rec is not None) == bool(closed & 1)
-            if rec is not None:
-                assert rec.kind == REROUTED and rec.detour is not None
-                assert rec.cost == rec.detour.duration
+            detour = node.detour
+            assert (detour is not None) == bool(closed & 1)
+            if detour is not None:
+                assert detour.start == histories.last_intact(node.parent, 0).pose
+                assert detour.end_pose().cell() == node.pose.cell()
         assert (repaired[0] > 0, repaired[1] > 0) == (primary_repairs, not primary_repairs)
 
 
@@ -353,12 +353,12 @@ def test_peh_keeps_incomparable_histories(monkeypatch):
 
 
 def test_deferred_records_equal_record_expansion():
-    # Nodes store no direct records: histories.record derives the primary's
-    # from the incoming edge when read.  Every node must still read as what
-    # record_expansion gives for its edge, apart from the hypotheses PEH
-    # repaired with a detour and from goal candidates the goal hook updated.
-    # Secondary repairs leave no record, and a node stores one only where
-    # PEH repaired the primary.  Only PEH nodes carry a tally tuple: the g of
+    # Nodes store no direct steps: histories.trajectory takes the primary's
+    # from the incoming edge when it walks the chain.  Every node must still
+    # read as what record_expansion gives for its edge, apart from the
+    # hypotheses PEH repaired with a detour and from goal candidates the goal
+    # hook updated.  Secondary repairs leave no detour, and a node stores one
+    # only where PEH repaired the primary.  Only PEH nodes carry a tally tuple: the g of
     # SH, GEH and GEGRH nodes is the primary tally, and a VEH node's g adds
     # the mean of its edge's costs.
     start, goal = clutter_endpoints(24)
@@ -374,7 +374,7 @@ def test_deferred_records_equal_record_expansion():
         for node in trace.nodes.values():
             parent = node.parent
             if parent is None:
-                assert record(node) is None
+                assert trajectory(node) == Trajectory((), 0.0, node.pose)
                 continue
             if node.nid in updated:
                 continue  # a goal candidate the hook updated
@@ -385,9 +385,9 @@ def test_deferred_records_equal_record_expansion():
                 assert node.hyp_g is None, (mode, node)
                 parent = SimpleNamespace(pose=parent.pose, pending=parent.pending,
                                          hyp_g=(parent.g,) * view.n)
-            hyp_g, pending, rec = record_expansion(parent, ev, prim, node.pose)
+            hyp_g, pending, step = record_expansion(parent, ev, prim, node.pose)
             if mode in ("SH", "VEH"):
-                assert not pending and rec.kind == DIRECT
+                assert not pending and step is not None
             if mode == "VEH":
                 assert node.g == node.parent.g + histories.average_edge_cost(ev.cost)
             elif not tallied:
@@ -396,12 +396,17 @@ def test_deferred_records_equal_record_expansion():
             assert not repaired or mode == "PEH", (mode, node)
             assert node.pending & ~pending == 0, (mode, node)
             if repaired & 1:
-                assert node.record.kind == REROUTED and rec is None
-                assert record(node) is node.record
+                assert node.detour is not None and step is None
+                assert trajectory(node, since=node.parent) == Trajectory(
+                    node.detour.steps, node.detour.duration, node.parent.pose)
                 seen["rerouted"] += 1
             else:
-                assert node.record is None, (mode, node)
-                assert record(node) == rec, (mode, node)
+                assert node.detour is None, (mode, node)
+                if step is None:
+                    assert node.pending & 1, (mode, node)
+                else:
+                    assert trajectory(node, since=node.parent) == Trajectory(
+                        (step,), ev.cost[0], node.parent.pose), (mode, node)
             for h in range(view.n):
                 if repaired >> h & 1:
                     seen["repaired"] += 1
@@ -518,7 +523,7 @@ def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
     # The goal hook reads each anchor as last_intact and the first break as
     # the shallowest pending node.  Both rest on two facts about the chain of
     # every candidate it reconciles: a node's pending mask contains its
-    # parent's, and no node on the chain stores a record (only the hook
+    # parent's, and no node on the chain stores a detour (only the hook
     # stores one, on a candidate it updates, which is never expanded).
     checked = {False: 0, True: 0}
     soft = False
@@ -529,12 +534,12 @@ def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
 
         def wrapped(engine, node):
             if node.pending:  # not updated yet: the hook clears the mask
-                assert node.record is None, node
+                assert node.detour is None, node
                 cur = node
                 while cur.parent is not None:
                     assert not cur.parent.pending & ~cur.pending, cur
                     cur = cur.parent
-                    assert cur.record is None, cur
+                    assert cur.detour is None, cur
                 checked[soft] += 1
             return hook(engine, node)
 
@@ -551,6 +556,36 @@ def test_goal_candidates_sit_on_chains_whose_masks_only_grow(monkeypatch):
                     for mode in ("GEH", "GEGRH"):
                         plan(mode, view, start, goal, UNLIMITED)
     assert checked == {False: 939, True: 1897}
+
+
+def test_revision_keeps_the_candidates_primary_steps(monkeypatch):
+    # A revision drops the nodes between the candidate and its new parent,
+    # so the candidate stores the primary's trajectory below that parent as
+    # its detour.  The plan it stands for must not change: the same steps,
+    # and the same duration up to the order of its float sums.
+    revise = planners.graph_revision
+    checked = {False: 0, True: 0}
+    soft = False
+
+    def checking_revision(engine, goal_node, divergence_node):
+        before = extract_solution(goal_node)
+        revise(engine, goal_node, divergence_node)
+        after = extract_solution(goal_node)
+        assert after.steps == before.steps
+        assert after.start == before.start
+        assert abs(after.duration - before.duration) <= 1e-9
+        checked[soft] += 1
+
+    monkeypatch.setattr(planners, "graph_revision", checking_revision)
+    for size in (16, 24):
+        start, goal = clutter_endpoints(size)
+        for n in (2, 3):
+            for seed in range(12):
+                stack = gen_clutter(size, size, seed, 0.15, n, 2,
+                                    keep_free=(start.cell(), goal.cell()))
+                for soft, view in ((False, stack), (True, with_soft_costs(stack))):
+                    plan("GEGRH", view, start, goal, UNLIMITED)
+    assert checked == {False: 106, True: 148}
 
 
 # -- cyclic garbage collector ------------------------------------------------

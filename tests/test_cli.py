@@ -13,6 +13,16 @@ from mhplan.search_core import AnytimeConfig
 UNLIMITED = AnytimeConfig(time_budget=math.inf)
 
 
+def run_cli(*args):
+    """Run ``python -m mhplan.cli`` with ``args`` in a child process that
+    imports the package from where this process found it."""
+    src = os.path.dirname(os.path.dirname(mhplan.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mhplan.cli", *args],
+                          capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def write_scenario(tmp_path, name, spec, modes):
     sc = builtin_scenario(spec, modes=modes, cfg=UNLIMITED)
     path = os.path.join(tmp_path, f"{name}.mhscen")
@@ -105,12 +115,7 @@ def test_non_integer_builtin_parameter_is_reported(spec):
     # Refused before any stack is built, in a child process so that an
     # uncaught exception would show as its traceback and exit status 1, and
     # with nothing planned under a name that says another count than it ran.
-    src = os.path.dirname(os.path.dirname(mhplan.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mhplan.cli", "plan", spec, "--modes", "SH"],
-        capture_output=True, text=True, check=False,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = run_cli("plan", spec, "--modes", "SH")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("mhplan: ") and "must be a finite integer" in proc.stderr
@@ -123,13 +128,7 @@ def test_generation_failure_is_reported(command, spec, tmp_path):
     # The generator gives up on a stack it cannot draw; the CLI reports it
     # like any other bad scenario, in a child process so that an uncaught
     # exception would show as its traceback and exit status 1.
-    src = os.path.dirname(os.path.dirname(mhplan.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mhplan.cli", command, spec, "--modes", "SH",
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, check=False,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = run_cli(command, spec, "--modes", "SH", "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("mhplan: could not generate ")
@@ -253,14 +252,7 @@ def test_render_default_name(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path):
     out = os.path.join(tmp_path, "cli.csv")
-    # The child imports the package from where this process found it.
-    src = os.path.dirname(os.path.dirname(mhplan.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mhplan.cli", "plan", "fig3", "--modes", "SH",
-         "--budget", "30", "--out", out],
-        capture_output=True, text=True, check=False,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = run_cli("plan", "fig3", "--modes", "SH", "--budget", "30", "--out", out)
     assert proc.returncode == 0
     assert proc.stdout.startswith("SH")
     assert read_records(out)[0].mode == "SH"

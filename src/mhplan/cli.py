@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import harness, render
 from .costmap import GenerationError
-from .planners import MODES, PlannerMode, plan
+from .planners import MODES, PlannerMode
 from .search_core import AnytimeConfig, VirtualClock, WallClock
 
 ENV_PREFIX = "MHPLAN_"
@@ -101,33 +101,21 @@ def _resolve_scenario(args) -> harness.Scenario:
         cfg = replace(cfg, time_budget=args.budget)
     if args.inflation is not None:
         cfg = replace(cfg, initial_inflation=args.inflation)
-    return replace(sc, cfg=cfg)
-
-
-def _run_modes(sc: harness.Scenario, wallclock: bool = False):
-    stack = sc.source.resolve()
-    results = []
-    for mode in sc.modes:
-        clock = WallClock() if wallclock else VirtualClock()
-        results.append((mode, plan(mode, stack, sc.start, sc.goal, sc.cfg,
-                                   clock=clock)))
-    return stack, results
+    # One run per mode, whatever repetitions a scenario file asks for.
+    return replace(sc, cfg=cfg, repetitions=1)
 
 
 def cmd_plan(args) -> int:
     sc = _resolve_scenario(args)
-    stack, results = _run_modes(sc, wallclock=args.wallclock)
+    clock = WallClock if args.wallclock else VirtualClock
     records = []
-    for mode, res in results:
-        dur = f"{res.trajectory.duration:.3f}" if res.trajectory else "-"
+    for rec, res in harness.plan_scenario(sc, sc.source.resolve(), clock):
+        dur = f"{rec.path_duration:.3f}" if rec.path_duration is not None else "-"
         cost = f"{res.cost:.3f}" if res.cost is not None else "-"
-        print(f"{mode.value:<6} {res.status:<22} cost={cost:<9} duration={dur:<9} "
-              f"time={res.planning_time:.4f}s expansions={res.expansions} "
-              f"reroutes={res.reroutes} inflation={res.final_inflation:.2f}")
-        records.append(harness.ResultRecord(
-            sc.name, mode.value, stack.n, 0, res.status, res.planning_time,
-            res.trajectory.duration if res.trajectory else None,
-            res.expansions, res.reroutes, res.final_inflation, sc.seed))
+        print(f"{rec.mode:<6} {rec.status:<22} cost={cost:<9} duration={dur:<9} "
+              f"time={rec.planning_time:.4f}s expansions={rec.expansions} "
+              f"reroutes={rec.reroutes} inflation={rec.final_inflation:.2f}")
+        records.append(rec)
     if args.out:
         harness.write_records(records, args.out)
     return 0
@@ -161,8 +149,9 @@ def cmd_summarize(args) -> int:
 
 def cmd_render(args) -> int:
     sc = _resolve_scenario(args)
-    stack, results = _run_modes(sc)
-    overlays = [(mode.value, res.trajectory) for mode, res in results
+    stack = sc.source.resolve()
+    overlays = [(rec.mode, res.trajectory)
+                for rec, res in harness.plan_scenario(sc, stack)
                 if res.trajectory is not None]
     out = args.out or f"{sc.source.kind}.svg"
     render.emit_overlay(stack, overlays, out)

@@ -2,6 +2,21 @@
 
 A scenario bundles a hypothesis stack (from a file or a named generator), a
 start/goal pair, the planner modes to run, and the search configuration.
+Each decision of this layer has one home here:
+
+- :data:`BUILTINS` maps each builtin name to its stack generator and its
+  default start and goal; :func:`builtin_scenario` turns a spec such as
+  ``clutter{n=3,seed=7}`` into a scenario, and a scenario file's
+  ``stack builtin`` line goes through it too.  An explicit seed (``--seed``
+  or a file's ``seed`` line) overrides the spec's; without one, the spec's
+  seed (or 0) is both generated and recorded.
+- :data:`CONFIG_KEYS` maps scenario-file keys to :class:`AnytimeConfig`
+  fields for both reading and writing; absent keys keep the config's own
+  defaults.
+- :func:`plan_scenario` plans every (mode, repetition) of a scenario and
+  builds its :class:`ResultRecord`; suites, ``mhplan plan`` and
+  ``mhplan render`` all run through it.
+
 Suites of scenarios execute deterministically and append one CSV row per
 (scenario, mode, repetition).
 """
@@ -26,67 +41,27 @@ RESULT_COLUMNS = ("scenario", "mode", "hypotheses", "repetition", "status",
                   "planning_time", "path_duration", "expansions", "reroutes",
                   "final_inflation", "seed")
 
-BUILTIN_NAMES = ("fig3", "fig4", "seal", "clutter")
-
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario text or unsatisfiable scenario inputs."""
 
 
-# -- stack sources -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StackSource:
-    """Where a scenario's hypothesis stack comes from.
-
-    ``kind`` is either ``file`` (with ``path``) or one of the builtin
-    generator names; ``params`` holds generator keyword overrides as a sorted
-    tuple so sources hash and compare cleanly.
-    """
-
-    kind: str
-    path: str | None = None
-    params: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "file":
-            if not self.path:
-                raise ScenarioError("file stack source requires a path")
-        elif self.kind not in BUILTIN_NAMES:
-            raise ScenarioError(f"unknown stack source {self.kind!r}")
-
-    def resolve(self) -> HypothesisStack:
-        if self.kind == "file":
-            return load_stack(self.path)
-        return _build_stack(self.kind, dict(self.params))
+# -- builtin stacks ----------------------------------------------------------
 
 
 def clutter_endpoints(size: int) -> tuple[Pose, Pose]:
     return Pose(2, size // 2, 0), Pose(size - 3, size // 2 - 1, 0)
 
 
-def _build_stack(kind: str, params: dict[str, float]) -> HypothesisStack:
-    if kind != "clutter":
-        if params:
-            raise ScenarioError(f"{kind} takes no parameters")
-        if kind == "fig3":
-            return gen_case1(13, 13, (6, 6))
-        if kind == "fig4":
-            return gen_case2(20, 20, (10, 6), 9, orientation="v", thickness=2)
-        return _gen_seal()
-    p = dict(params)
+def _gen_clutter(p: dict[str, float]) -> HypothesisStack:
     size = int(p.pop("size", 24))
     start, goal = clutter_endpoints(size)
-    stack = gen_clutter(size, size,
-                        seed=int(p.pop("seed", 0)),
-                        density=p.pop("density", 0.12),
-                        n_hypotheses=int(p.pop("n", 2)),
-                        shift=int(p.pop("shift", 2)),
-                        keep_free=(start.cell(), goal.cell()))
-    if p:
-        raise ScenarioError(f"unknown clutter parameters {sorted(p)}")
-    return stack
+    return gen_clutter(size, size,
+                       seed=int(p.pop("seed", 0)),
+                       density=p.pop("density", 0.12),
+                       n_hypotheses=int(p.pop("n", 2)),
+                       shift=int(p.pop("shift", 2)),
+                       keep_free=(start.cell(), goal.cell()))
 
 
 def _gen_seal(width: int = 16, height: int = 16,
@@ -98,6 +73,53 @@ def _gen_seal(width: int = 16, height: int = 16,
             for dx in range(-2, 3) for dy in range(-2, 3)
             if max(abs(dx), abs(dy)) == 2}
     return HypothesisStack((free, free.with_cells(ring)))
+
+
+# name -> (build(params), poses(params)).  ``build`` pops every parameter it
+# reads; one it leaves is refused.  ``poses`` gives the default start and goal.
+BUILTINS = {
+    "fig3": (lambda p: gen_case1(13, 13, (6, 6)),
+             lambda p: (Pose(5, 6, 1), Pose(9, 2, 1))),
+    "fig4": (lambda p: gen_case2(20, 20, (10, 6), 9, orientation="v", thickness=2),
+             lambda p: (Pose(3, 10, 0), Pose(17, 10, 0))),
+    "seal": (lambda p: _gen_seal(),
+             lambda p: (Pose(2, 8, 0), Pose(12, 8, 0))),
+    "clutter": (_gen_clutter,
+                lambda p: clutter_endpoints(int(p.get("size", 24)))),
+}
+
+# Builtin parameters that count something: each must be a finite integer.
+INTEGER_PARAMS = ("size", "seed", "n", "shift")
+
+
+@dataclass(frozen=True)
+class StackSource:
+    """Where a scenario's hypothesis stack comes from.
+
+    ``kind`` is either ``file`` (with ``path``) or one of the :data:`BUILTINS`
+    names; ``params`` holds generator keyword overrides as a sorted tuple so
+    sources hash and compare cleanly.
+    """
+
+    kind: str
+    path: str | None = None
+    params: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self):
+        if self.kind == "file":
+            if not self.path:
+                raise ScenarioError("file stack source requires a path")
+        elif self.kind not in BUILTINS:
+            raise ScenarioError(f"unknown stack source {self.kind!r}")
+
+    def resolve(self) -> HypothesisStack:
+        if self.kind == "file":
+            return load_stack(self.path)
+        params = dict(self.params)
+        stack = BUILTINS[self.kind][0](params)
+        if params:
+            raise ScenarioError(f"unknown {self.kind} parameters {sorted(params)}")
+        return stack
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -121,29 +143,12 @@ class Scenario:
             raise ScenarioError("repetitions must be >= 1")
 
 
-_BUILTIN_POSES = {
-    "fig3": (Pose(5, 6, 1), Pose(9, 2, 1)),
-    "fig4": (Pose(3, 10, 0), Pose(17, 10, 0)),
-    "seal": (Pose(2, 8, 0), Pose(12, 8, 0)),
-}
-
-
-def _default_poses(kind: str, params: dict[str, float]) -> tuple[Pose, Pose]:
-    """Start and goal of a builtin stack when the scenario names none."""
-    if kind == "clutter":
-        return clutter_endpoints(int(params.get("size", 24)))
-    return _BUILTIN_POSES[kind]
-
-
-# Builtin parameters that count something: each must be a finite integer.
-INTEGER_PARAMS = ("size", "seed", "n", "shift")
-
-
 def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
     """Split ``clutter{n=3,seed=7}`` style builtin specs into name + float
-    params, refusing an :data:`INTEGER_PARAMS` value such as 2.5 or inf."""
+    params, refusing a repeated parameter and an :data:`INTEGER_PARAMS`
+    value such as 2.5 or inf."""
     name, brace, rest = spec.partition("{")
-    if name not in BUILTIN_NAMES:
+    if name not in BUILTINS:
         raise ScenarioError(f"unknown builtin scenario {name!r}")
     params: dict[str, float] = {}
     if brace:
@@ -155,6 +160,8 @@ def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
             if not eq:
                 raise ScenarioError(f"expected key=value, got {item!r}")
             key = key.strip()
+            if key in params:
+                raise ScenarioError(f"parameter {key!r} given twice in {spec!r}")
             try:
                 params[key] = float(val)
             except ValueError as exc:
@@ -166,10 +173,13 @@ def parse_builtin(spec: str) -> tuple[str, dict[str, float]]:
 
 def builtin_scenario(spec: str, modes=MODES, cfg: AnytimeConfig | None = None,
                      repetitions: int = 1, seed: int | None = None) -> Scenario:
+    """The scenario of builtin ``spec`` at its default poses.  ``seed``, when
+    given, replaces the clutter spec's seed; the seed generated is the one
+    recorded."""
     name, params = parse_builtin(spec)
     if name == "clutter" and seed is not None:
         params["seed"] = seed
-    start, goal = _default_poses(name, params)
+    start, goal = BUILTINS[name][1](params)
     source = StackSource(name, params=tuple(sorted(params.items())))
     return Scenario(spec, source, start, goal, tuple(PlannerMode(m) for m in modes),
                     cfg or AnytimeConfig(), repetitions,
@@ -180,8 +190,29 @@ def builtin_scenario(spec: str, modes=MODES, cfg: AnytimeConfig | None = None,
 
 SCENARIO_MAGIC = "MHSCEN 1"
 
+# (scenario-file key, AnytimeConfig field), in the order files are written.
+CONFIG_KEYS = (("budget", "time_budget"), ("inflation", "initial_inflation"),
+               ("step", "inflation_step"), ("final", "final_inflation"),
+               ("tolerance", "goal_tolerance"))
+
+
+def _pose(key: str, raw: str) -> Pose:
+    parts = raw.split()
+    if len(parts) not in (2, 3):
+        raise ScenarioError(f"{key} must be 'x y [heading]'")
+    try:
+        x, y = int(parts[0]), int(parts[1])
+        heading = int(parts[2]) if len(parts) == 3 else 0
+    except ValueError as exc:
+        raise ScenarioError(f"non-integer {key} component in {raw!r}") from exc
+    return Pose(x, y, heading)
+
 
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
+    """Read scenario text.  A ``stack builtin SPEC`` line is built by
+    :func:`builtin_scenario`, passing the ``seed`` line if there is one; a
+    ``stack file PATH`` is resolved against ``base_dir`` and needs ``start``
+    and ``goal``."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != SCENARIO_MAGIC:
@@ -195,67 +226,36 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             raise ScenarioError(f"duplicate scenario key {key!r}")
         fields[key] = value.strip()
 
-    def pop(key, default=None):
-        if key in fields:
-            return fields.pop(key)
-        if default is None:
+    for key in ("name", "stack", "modes"):
+        if key not in fields:
             raise ScenarioError(f"scenario missing required key {key!r}")
-        return default
-
-    name = pop("name")
-    stack_spec = pop("stack").split()
-    if stack_spec[0] == "file":
-        if len(stack_spec) != 2:
-            raise ScenarioError("stack file line must name one path")
-        source = StackSource("file", path=stack_spec[1])
-        default_poses = None
-    elif stack_spec[0] == "builtin" and len(stack_spec) == 2:
-        kind, params = parse_builtin(stack_spec[1])
-        source = StackSource(kind, params=tuple(sorted(params.items())))
-        default_poses = _default_poses(kind, params)
-    else:
-        raise ScenarioError(f"bad stack line {' '.join(stack_spec)!r}")
-
-    def pose_of(key):
-        raw = fields.pop(key, None)
-        if raw is None:
-            if default_poses is None:
-                raise ScenarioError(f"scenario missing required key {key!r}")
-            return default_poses[0 if key == "start" else 1]
-        parts = raw.split()
-        if len(parts) not in (2, 3):
-            raise ScenarioError(f"{key} must be 'x y [heading]'")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-            heading = int(parts[2]) if len(parts) == 3 else 0
-        except ValueError as exc:
-            raise ScenarioError(f"non-integer {key} component in {raw!r}") from exc
-        return Pose(x, y, heading)
-
-    start = pose_of("start")
-    goal = pose_of("goal")
-    modes = tuple(PlannerMode(m.strip()) for m in pop("modes").split(","))
+    name = fields.pop("name")
+    stack = fields.pop("stack")
+    kind, _, stack_arg = stack.partition(" ")
+    stack_arg = stack_arg.strip()
+    if kind not in ("file", "builtin") or not stack_arg:
+        raise ScenarioError(f"bad stack line {stack!r}")
+    modes = tuple(PlannerMode(m.strip()) for m in fields.pop("modes").split(","))
     try:
-        cfg = AnytimeConfig(
-            initial_inflation=float(pop("inflation", "2.0")),
-            inflation_step=float(pop("step", "0.25")),
-            final_inflation=float(pop("final", "1.0")),
-            time_budget=float(pop("budget", "1.0")),
-            goal_tolerance=float(pop("tolerance", "0")),
-        )
-        repetitions = int(pop("repetitions", "1"))
-        seed = int(pop("seed", "0"))
+        cfg = AnytimeConfig(**{attr: float(fields.pop(key))
+                               for key, attr in CONFIG_KEYS if key in fields})
+        repetitions = int(fields.pop("repetitions", "1"))
+        seed = int(fields.pop("seed")) if "seed" in fields else None
     except ValueError as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
+    poses = {key: _pose(key, fields.pop(key)) for key in ("start", "goal")
+             if key in fields}
     if fields:
         raise ScenarioError(f"unknown scenario keys {sorted(fields)}")
-    sc = Scenario(name, source, start, goal, modes, cfg, repetitions, seed)
-    if source.kind == "file":
-        # Resolve relative stack paths against the scenario file's directory.
-        sc = replace(sc, source=StackSource("file", path=source.path
-                     if os.path.isabs(source.path)
-                     else os.path.join(base_dir, source.path)))
-    return sc
+    if kind == "builtin":
+        sc = builtin_scenario(stack_arg, modes, cfg, repetitions, seed)
+        return replace(sc, name=name, **poses)
+    if len(poses) < 2:
+        raise ScenarioError("a stack file scenario needs both start and goal")
+    # A relative stack path is anchored at the scenario file's directory.
+    source = StackSource("file", path=os.path.join(base_dir, stack_arg))
+    return Scenario(name, source, poses["start"], poses["goal"], modes, cfg,
+                    repetitions, seed or 0)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -280,11 +280,7 @@ def dumps_scenario(sc: Scenario) -> str:
     out.append(f"start {sc.start.x} {sc.start.y} {sc.start.heading}")
     out.append(f"goal {sc.goal.x} {sc.goal.y} {sc.goal.heading}")
     out.append("modes " + ",".join(m.value for m in sc.modes))
-    out.append(f"budget {sc.cfg.time_budget!r}")
-    out.append(f"inflation {sc.cfg.initial_inflation!r}")
-    out.append(f"step {sc.cfg.inflation_step!r}")
-    out.append(f"final {sc.cfg.final_inflation!r}")
-    out.append(f"tolerance {sc.cfg.goal_tolerance!r}")
+    out.extend(f"{key} {getattr(sc.cfg, attr)!r}" for key, attr in CONFIG_KEYS)
     out.append(f"repetitions {sc.repetitions}")
     out.append(f"seed {sc.seed}")
     return "\n".join(out) + "\n"
@@ -321,6 +317,20 @@ class ResultRecord:
                 repr(self.final_inflation), str(self.seed)]
 
 
+def plan_scenario(sc: Scenario, stack: HypothesisStack, clock=VirtualClock):
+    """Plan every (mode, repetition) of ``sc`` on ``stack``, each with a fresh
+    ``clock()``, and yield each run's ``(ResultRecord, PlanResult)``."""
+    for mode in sc.modes:
+        for rep in range(sc.repetitions):
+            result = plan(mode, stack, sc.start, sc.goal, sc.cfg, clock=clock())
+            duration = (result.trajectory.duration
+                        if result.trajectory is not None else None)
+            yield ResultRecord(
+                sc.name, mode.value, stack.n, rep, result.status,
+                result.planning_time, duration, result.expansions,
+                result.reroutes, result.final_inflation, sc.seed), result
+
+
 def run_scenario(sc: Scenario) -> list[ResultRecord]:
     """Execute every (mode, repetition) of one scenario with a virtual clock."""
     stack = sc.source.resolve()
@@ -329,18 +339,7 @@ def run_scenario(sc: Scenario) -> list[ResultRecord]:
             raise ScenarioError(f"{sc.name}: {label} {pose.cell()} out of bounds")
         if stack.primary.is_lethal(*pose.cell()):
             raise ScenarioError(f"{sc.name}: {label} {pose.cell()} lethal in primary")
-    records = []
-    for mode in sc.modes:
-        for rep in range(sc.repetitions):
-            result = plan(mode, stack, sc.start, sc.goal, sc.cfg,
-                          clock=VirtualClock())
-            duration = (result.trajectory.duration
-                        if result.trajectory is not None else None)
-            records.append(ResultRecord(
-                sc.name, mode.value, stack.n, rep, result.status,
-                result.planning_time, duration, result.expansions,
-                result.reroutes, result.final_inflation, sc.seed))
-    return records
+    return [record for record, _ in plan_scenario(sc, stack)]
 
 
 def _error_record(sc_name: str, message: str) -> ResultRecord:
@@ -419,6 +418,12 @@ def write_records(records, path: str) -> None:
             writer.writerow(rec.row())
 
 
+# Results columns that hold a count, a time or an inflation: each must be
+# finite and >= 0 (``path_duration`` may also be empty, for no plan).
+_MEASURE_COLUMNS = ("hypotheses", "repetition", "planning_time", "path_duration",
+                    "expansions", "reroutes", "final_inflation")
+
+
 def read_records(path: str) -> list[ResultRecord]:
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
@@ -427,12 +432,20 @@ def read_records(path: str) -> list[ResultRecord]:
             raise ScenarioError(f"unexpected results header in {path}")
         records = []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(RESULT_COLUMNS):
-                raise ScenarioError(f"short results row {row!r}")
-            records.append(ResultRecord(
+                raise ScenarioError(f"{where}: results row has {len(row)} fields, "
+                                    f"expected {len(RESULT_COLUMNS)}")
+            rec = ResultRecord(
                 row[0], row[1], int(row[2]), int(row[3]), row[4],
                 float(row[5]), float(row[6]) if row[6] else None,
-                int(row[7]), int(row[8]), float(row[9]), int(row[10])))
+                int(row[7]), int(row[8]), float(row[9]), int(row[10]))
+            for column in _MEASURE_COLUMNS:
+                value = getattr(rec, column)
+                if value is not None and not 0 <= value < math.inf:
+                    raise ScenarioError(f"{where}: {column} must be finite "
+                                        f"and >= 0, got {value!r}")
+            records.append(rec)
         return records
 
 

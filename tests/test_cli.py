@@ -71,6 +71,17 @@ def test_plan_from_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("SH")
 
 
+def test_plan_runs_each_mode_of_a_scenario_file_once(tmp_path, capsys):
+    sc = builtin_scenario("fig3", modes=("SH", "GEGRH"), cfg=UNLIMITED,
+                          repetitions=3)
+    path = os.path.join(tmp_path, "reps.mhscen")
+    save_scenario(sc, path)
+    out = os.path.join(tmp_path, "reps.csv")
+    assert main(["plan", path, "--out", out]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    assert [(r.mode, r.repetition) for r in read_records(out)] == [("SH", 0), ("GEGRH", 0)]
+
+
 @pytest.mark.parametrize("command", ["plan", "render"])
 def test_scenario_file_refuses_seed(tmp_path, capsys, command):
     # A scenario file fixes its stack, seed included, so --seed would change

@@ -3,6 +3,7 @@ import math
 import os
 import random
 from concurrent.futures import Future
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +39,8 @@ def test_parse_builtin():
     name, params = parse_builtin("clutter{n=3, seed=7,density=0.2}")
     assert name == "clutter"
     assert params == {"n": 3.0, "seed": 7.0, "density": 0.2}
-    for bad in ("nope", "clutter{n=3", "clutter{n}", "clutter{n=x}"):
+    for bad in ("nope", "clutter{n=3", "clutter{n}", "clutter{n=x}",
+                "clutter{seed=1,seed=2}"):
         with pytest.raises(ScenarioError):
             parse_builtin(bad)
 
@@ -117,6 +119,60 @@ def test_scenario_file_with_stack_file(tmp_path):
     assert (stack.n, stack.width, stack.height) == (2, 13, 13)
     # Relative stack paths anchor at the scenario file, not the cwd.
     assert os.path.dirname(sc.source.path) == str(tmp_path)
+
+
+def test_stack_lines_keep_their_spaces(tmp_path):
+    # The stack line is split once, into its kind and the rest.
+    stack_path = os.path.join(tmp_path, "a b", "m.mhstack")
+    os.mkdir(os.path.dirname(stack_path))
+    save_stack(gen_case1(13, 13, (6, 6)), stack_path)
+    sc = Scenario("spaced", StackSource("file", path=stack_path), Pose(5, 6, 1),
+                  Pose(9, 2, 1), (PlannerMode.SH,))
+    path = os.path.join(tmp_path, "spaced.mhscen")
+    save_scenario(sc, path)
+    assert load_scenario(path) == sc
+    assert load_scenario(path).source.resolve().n == 2
+    text = "MHSCEN 1\nname x\nstack builtin clutter{n=3, seed=7}\nmodes SH\n"
+    assert parse_scenario(text) == replace(
+        builtin_scenario("clutter{n=3, seed=7}", modes=("SH",)), name="x")
+
+
+def readme_scenario():
+    """The scenario file block of README.md."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")
+    [block] = [b for b in blocks if b.lstrip("\n").startswith("MHSCEN 1")]
+    return block.lstrip("\n")
+
+
+def rows_of(sc, name="x"):
+    return [rec.row() for rec in run_scenario(replace(sc, name=name))]
+
+
+def test_readme_scenario_records_the_seed_it_plans():
+    text = readme_scenario()
+    sc = parse_scenario(text)
+    assert "\nseed " not in text and sc.seed == 4
+    spec = next(ln for ln in text.splitlines()
+                if ln.startswith("stack builtin ")).split(" ", 2)[2]
+    ref = replace(builtin_scenario(spec, modes=sc.modes, cfg=sc.cfg),
+                  start=sc.start, goal=sc.goal)
+    assert rows_of(sc) == rows_of(ref)
+    assert {row[-1] for row in rows_of(sc)} == {"4"}
+
+
+@pytest.mark.parametrize("spec", ["clutter{size=12}", "clutter{size=12,seed=4}"])
+def test_seed_line_overrides_the_spec_seed(spec):
+    # As --seed does for `mhplan plan`: the seed line is the generator's.
+    sc = parse_scenario(f"MHSCEN 1\nname x\nstack builtin {spec}\n"
+                        "modes SH,GEGRH\nbudget inf\nseed 9\n")
+    ref = builtin_scenario(spec, modes=("SH", "GEGRH"), cfg=UNLIMITED, seed=9)
+    assert sc.seed == 9 and dict(sc.source.params)["seed"] == 9
+    assert sc == replace(ref, name="x")
+    assert rows_of(sc) == rows_of(ref)
+    assert rows_of(sc) != rows_of(builtin_scenario(spec, modes=("SH", "GEGRH"),
+                                                   cfg=UNLIMITED, seed=0))
 
 
 def test_parse_scenario_defaults_and_errors():
@@ -306,7 +362,26 @@ def test_read_records_validates(tmp_path):
         read_records(path)
     with open(path, "w") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\nonly,three,cols\n")
-    with pytest.raises(ScenarioError, match="row"):
+    with pytest.raises(ScenarioError, match="row has 3 fields, expected 11"):
+        read_records(path)
+    good = ResultRecord("s", "SH", 2, 0, "solved", 0.5, 6.0, 63, 0, 1.0, -3).row()
+    write_records([], path)
+    with open(path, "a") as fh:
+        fh.write(",".join(good) + "\n")
+    assert read_records(path)[0].seed == -3  # any integer seeds a generator
+    for column, value in (("planning_time", "nan"), ("planning_time", "-0.5"),
+                          ("path_duration", "inf"), ("expansions", "-5"),
+                          ("hypotheses", "-1"), ("final_inflation", "nan")):
+        row = list(good)
+        row[RESULT_COLUMNS.index(column)] = value
+        with open(path, "w") as fh:
+            fh.write(",".join(RESULT_COLUMNS) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(ScenarioError,
+                           match=f"bad.csv:2: {column} must be finite and >= 0"):
+            read_records(path)
+    with open(path, "w") as fh:
+        fh.write(",".join(RESULT_COLUMNS) + "\n" + ",".join(good + ["x"]) + "\n")
+    with pytest.raises(ScenarioError, match="bad.csv:2: results row has 12 fields"):
         read_records(path)
 
 

@@ -364,11 +364,10 @@ def test_read_records_validates(tmp_path):
         fh.write(",".join(RESULT_COLUMNS) + "\nonly,three,cols\n")
     with pytest.raises(ScenarioError, match="row has 3 fields, expected 11"):
         read_records(path)
-    good = ResultRecord("s", "SH", 2, 0, "solved", 0.5, 6.0, 63, 0, 1.0, -3).row()
-    write_records([], path)
-    with open(path, "a") as fh:
-        fh.write(",".join(good) + "\n")
-    assert read_records(path)[0].seed == -3  # any integer seeds a generator
+    rec = ResultRecord("s", "SH", 2, 0, "solved", 0.5, 6.0, 63, 0, 1.0, -3)
+    write_records([rec], path)
+    assert read_records(path) == [rec]  # any integer seeds a generator
+    good = rec.row()
     for column, value in (("planning_time", "nan"), ("planning_time", "-0.5"),
                           ("path_duration", "inf"), ("expansions", "-5"),
                           ("hypotheses", "-1"), ("final_inflation", "nan")):
